@@ -17,6 +17,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import itertools
+import math
 import re
 import sys
 import time
@@ -97,9 +98,12 @@ def _parse_scalar(tok: str):
     if _INT_RE.match(tok):
         return int(tok)
     try:
-        return float(tok)
+        value = float(tok)
     except ValueError:
         return tok
+    if not math.isfinite(value):
+        raise ManifestError(f"value {tok!r} is not a finite number")
+    return value
 
 
 def _format_scalar(v) -> str:

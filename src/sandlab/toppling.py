@@ -20,7 +20,6 @@ import numpy as np
 from ._util import generator
 from .lattice import LatticeField, TorusShape
 from .operators import OperatorSpec
-from .sampling import SigmaSpec, make_initial_config, sample_sigma
 
 
 @dataclass(frozen=True)
@@ -55,28 +54,60 @@ def _excess(values: np.ndarray) -> np.ndarray:
     return np.clip(values - 1.0, 0.0, None)
 
 
-def _apply_generator(op: OperatorSpec, e: np.ndarray) -> np.ndarray:
-    if op.kind == "nn":
-        d = op.shape.d
-        acc = np.zeros_like(e)
-        for axis in range(d):
-            acc += np.roll(e, 1, axis=axis)
-            acc += np.roll(e, -1, axis=axis)
-        return acc / (2.0 * d) - e
-    if op.kind == "lr":
-        p = op.kernel().p
-        conv = np.fft.ifftn(np.fft.fftn(e) * np.fft.fftn(p)).real
-        return conv - e
-    raise ValueError("toppling needs a nearest-neighbour or long-range operator")
+class _ParallelToppler:
+    """Excess and generator buffers for parallel steps, reused on every step.
+
+    The nearest-neighbour stencil is a fixed list of (accumulator view,
+    excess view) pairs; the long-range step uses the kernel transform
+    computed here.
+    """
+
+    def __init__(self, op: OperatorSpec):
+        self.e = np.empty(op.shape.dims)
+        self._g = np.empty(op.shape.dims)
+        self._phat = None
+        if op.kind == "nn":
+            self._share = 2.0 * op.shape.d
+            self._pairs = []
+            for axis in range(op.shape.d):
+                g, e = np.moveaxis(self._g, axis, 0), np.moveaxis(self.e, axis, 0)
+                # the shift by +1 reads e[i - 1], then the shift by -1 reads e[i + 1]
+                self._pairs += [(g[1:], e[:-1]), (g[:1], e[-1:]), (g[:-1], e[1:]), (g[-1:], e[:1])]
+        elif op.kind == "lr":
+            self._phat = np.fft.fftn(op.kernel().p)
+        else:
+            raise ValueError("toppling needs a nearest-neighbour or long-range operator")
+
+    def excess(self, s: np.ndarray) -> np.ndarray:
+        """Overwrite and return the excess buffer with max(s - 1, 0)."""
+        np.subtract(s, 1.0, out=self.e)
+        return np.maximum(self.e, 0.0, out=self.e)
+
+    def topple(self, s: np.ndarray, u: np.ndarray) -> None:
+        """Topple the excess last computed by ``excess``: s += generator(e), u += e."""
+        e, g = self.e, self._g
+        if self._phat is None:
+            g.fill(0.0)
+            for dst, src in self._pairs:
+                np.add(dst, src, out=dst)
+            np.divide(g, self._share, out=g)
+            np.subtract(g, e, out=g)
+        else:
+            ehat = np.fft.fftn(e)
+            ehat *= self._phat
+            np.subtract(np.fft.ifftn(ehat).real, e, out=g)
+        np.add(s, g, out=s)
+        np.add(u, e, out=u)
 
 
 def parallel_topple_step(state: SandpileState) -> SandpileState:
     """Topple every unstable site at once; stable states are fixed points."""
-    e = _excess(state.s.values)
-    if not e.any():
+    toppler = _ParallelToppler(state.op)
+    if not toppler.excess(state.s.values).any():
         return state
-    s_new = state.s.values + _apply_generator(state.op, e)
-    u_new = state.u.values + e
+    s_new = state.s.values.copy()
+    u_new = state.u.values.copy()
+    toppler.topple(s_new, u_new)
     return SandpileState(
         state.op,
         LatticeField(state.op.shape, s_new),
@@ -117,12 +148,16 @@ def sequential_topple_pass(state: SandpileState, order) -> SandpileState:
         u = uf.reshape(shape.dims)
     elif op.kind == "lr":
         p = op.kernel().p
+        # offset[x, y] = (y - x) mod n: indexing p by the rows of the site's
+        # coordinates gives the kernel centred on that site
+        ar = np.arange(shape.n)
+        offset = (ar[None, :] - ar[:, None]) % shape.n
         for x in order:
             idx = np.unravel_index(int(x), shape.dims)
             e = s[idx] - 1.0
             if e <= 0.0:
                 continue
-            s += e * np.roll(p, idx, axis=tuple(range(shape.d)))
+            s += e * p[np.ix_(*offset[list(idx)])]
             s[idx] -= e
             u[idx] += e
     else:
@@ -160,7 +195,18 @@ def stabilize(
     tol defaults to 1e-10 * nsites.  A configuration carrying more than
     nsites + tol of mass can never stabilize (mass is conserved and a stable
     state holds at most one per site), so it is reported as exploded without
-    stepping.  on_step, if given, is called with the state after every step.
+    stepping.
+
+    The run allocates its excess and generator buffers once and overwrites
+    them on every step; heights and odometer are updated in place on copies
+    of the input fields.  The nearest-neighbour stencil adds the 2d shifted
+    excesses in a fixed order (axis 0 by +1 then -1, then axis 1, ...) on
+    purpose: floating-point addition is not associative, and this order keeps
+    every report, odometer and final field bit-identical to the reference
+    engine frozen in the tests.  The long-range kernel's transform is
+    computed once per call, so a step costs two FFTs.  on_step, if given, is
+    called after every step with a state holding copies of the fields, so
+    mutating them cannot change the run.
     """
     shape = state.op.shape
     if tol is None:
@@ -175,11 +221,12 @@ def stabilize(
         return state, report
 
     op = state.op
+    toppler = _ParallelToppler(op)
     s = state.s.values.copy()
     u = state.u.values.copy()
     steps = 0
     while True:
-        e = _excess(s)
+        e = toppler.excess(s)
         total = float(e.sum())
         if total <= tol:
             status = "stabilized"
@@ -187,16 +234,14 @@ def stabilize(
         if steps >= step_limit:
             status = "step-limit"
             break
-        s += _apply_generator(op, e)
-        u += e
+        toppler.topple(s, u)
         steps += 1
         if on_step is not None:
             on_step(
                 SandpileState(op, LatticeField(shape, s.copy()), LatticeField(shape, u.copy()), state.t + steps)
             )
-    e = _excess(s)
     final = SandpileState(op, LatticeField(shape, s), LatticeField(shape, u), state.t + steps)
-    return final, StabilizationReport(status, steps, float(e.max()), float(e.sum()))
+    return final, StabilizationReport(status, steps, float(e.max()), total)
 
 
 def stabilize_sequential(
@@ -268,10 +313,3 @@ def density_probe(
         odometer_sum += float(final.u.values.mean())
     return DensityProbeResult(density, trials, stabilized / trials, odometer_sum / trials)
 
-
-def random_initial_state(
-    op: OperatorSpec, spec: SigmaSpec, seed: int
-) -> SandpileState:
-    """Convenience: sample sigma, center into a unit-mean configuration."""
-    sigma = sample_sigma(spec, op.shape, seed)
-    return SandpileState.initial(op, make_initial_config(sigma))

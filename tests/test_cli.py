@@ -142,6 +142,24 @@ def test_run_exit_one_on_error(tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
+def test_non_finite_numbers_are_rejected(tmp_path, monkeypatch, capsys, token):
+    monkeypatch.chdir(tmp_path)
+    with pytest.raises(ManifestError, match="not a finite number"):
+        parse_manifest(f"kind = density-probe\nd = 2\nn = 8\ndensity = {token}\n")
+    with pytest.raises(ManifestError, match="not a finite number"):
+        parse_manifest(f"kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1 0\nsamples = 10\nt = 0.5, {token}\n")
+
+    path = write(tmp_path, "nf.txt", f"kind = density-probe\nd = 2\nn = 8\ndensity = {token}\nout = outnf\n")
+    assert main(["validate", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("invalid: ") and "not a finite number" in err
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "not a finite number" in err
+    assert not Path("outnf").exists()
+
+
 def test_validate_exit_codes(tmp_path, capsys):
     good = write(tmp_path, "g.txt", TOPPLE)
     assert main(["validate", good]) == 0

@@ -2,11 +2,13 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from sandlab import TorusShape, LatticeField, OperatorSpec
 from sandlab.sampling import SigmaSpec, make_initial_config, sample_sigma
 from sandlab.toppling import (
     SandpileState,
+    StabilizationReport,
     density_probe,
     parallel_topple_step,
     sequential_topple_pass,
@@ -140,3 +142,136 @@ def test_odometer_field_solves_balance_equation():
     lhs = final.s.values
     rhs = state.s.values + final.op.apply(final.u).values
     assert np.max(np.abs(lhs - rhs)) < 1e-10
+
+
+# --- reference engine ------------------------------------------------------
+# A frozen copy of the roll-based step and stepping loop that the in-place
+# engine replaced.  The engine must reproduce it bit for bit.
+
+def reference_excess(values):
+    return np.clip(values - 1.0, 0.0, None)
+
+
+def reference_apply_generator(op, e):
+    if op.kind == "nn":
+        d = op.shape.d
+        acc = np.zeros_like(e)
+        for axis in range(d):
+            acc += np.roll(e, 1, axis=axis)
+            acc += np.roll(e, -1, axis=axis)
+        return acc / (2.0 * d) - e
+    p = op.kernel().p
+    conv = np.fft.ifftn(np.fft.fftn(e) * np.fft.fftn(p)).real
+    return conv - e
+
+
+def reference_stabilize(state, tol=None, step_limit=500_000):
+    shape = state.op.shape
+    if tol is None:
+        tol = 1e-10 * shape.nsites
+    s = state.s.values.copy()
+    u = state.u.values.copy()
+    steps = 0
+    while True:
+        e = reference_excess(s)
+        total = float(e.sum())
+        if total <= tol:
+            status = "stabilized"
+            break
+        if steps >= step_limit:
+            status = "step-limit"
+            break
+        s += reference_apply_generator(state.op, e)
+        u += e
+        steps += 1
+    e = reference_excess(s)
+    return s, u, StabilizationReport(status, steps, float(e.max()), float(e.sum()))
+
+
+# n = 2 is the smallest torus (TorusShape needs n >= 2); there the +1 and -1
+# neighbours along an axis are the same site.
+ENGINE_CASES = [("nn", d, n) for d in (1, 2, 3) for n in (2, 3, 5, 8)] + [
+    ("lr", d, n) for d in (1, 2) for n in range(2, 9)
+]
+
+
+@st.composite
+def toppling_configs(draw):
+    kind, d, n = draw(st.sampled_from(ENGINE_CASES))
+    shape = TorusShape(d, n)
+    if kind == "nn":
+        op = OperatorSpec.nearest_neighbour(shape)
+    else:
+        op = OperatorSpec.long_range(shape, draw(st.sampled_from([0.5, 1.0, 2.5])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    noise = draw(st.floats(0.05, 3.0)) * rng.standard_normal(shape.dims)
+    # critical: mass exactly nsites up to rounding; subcritical: mass lowered
+    deficit = draw(st.sampled_from([0.0, 0.01, 0.3]))
+    s = 1.0 - deficit + (noise - noise.mean())
+    return SandpileState.initial(op, LatticeField(shape, s))
+
+
+@settings(max_examples=80, deadline=None)
+@given(state=toppling_configs(), step_limit=st.integers(0, 400))
+def test_engine_is_bit_identical_to_reference(state, step_limit):
+    s_ref, u_ref, report_ref = reference_stabilize(state, step_limit=step_limit)
+    final, report = stabilize(state, step_limit=step_limit)
+    assert report == report_ref
+    assert np.array_equal(final.s.values, s_ref)
+    assert np.array_equal(final.u.values, u_ref)
+
+    e = reference_excess(state.s.values)
+    one = parallel_topple_step(state)
+    if e.any():
+        assert np.array_equal(one.s.values, state.s.values + reference_apply_generator(state.op, e))
+        assert np.array_equal(one.u.values, state.u.values + e)
+    else:
+        assert one is state
+
+
+@pytest.mark.parametrize("kind", ["nn", "lr"])
+def test_on_step_receives_copies(kind):
+    shape = TorusShape(2, 6)
+    op = OperatorSpec.nearest_neighbour(shape) if kind == "nn" else OperatorSpec.long_range(shape, 1.0)
+    s = make_initial_config(sample_sigma(SigmaSpec.iid_gaussian(), shape, 4))
+    state = SandpileState.initial(op, s)
+    plain, plain_report = stabilize(state, step_limit=200)
+
+    seen = []
+
+    def vandal(step_state):
+        seen.append(step_state.t)
+        step_state.s.values[...] = 7.0
+        step_state.u.values[...] = -3.0
+
+    final, report = stabilize(state, step_limit=200, on_step=vandal)
+    assert report == plain_report
+    assert seen == list(range(1, report.steps + 1))
+    assert np.array_equal(final.s.values, plain.s.values)
+    assert np.array_equal(final.u.values, plain.u.values)
+    assert np.array_equal(state.s.values, s.values)
+
+
+def test_sequential_lr_pass_matches_roll_form():
+    shape = TorusShape(2, 6)
+    op = OperatorSpec.long_range(shape, 1.0)
+    s0 = make_initial_config(sample_sigma(SigmaSpec.iid_gaussian(), shape, 9))
+    state = SandpileState.initial(op, s0)
+    order = np.random.default_rng(2).permutation(shape.nsites)
+
+    s = s0.values.copy()
+    u = np.zeros(shape.dims)
+    p = op.kernel().p
+    for x in order:
+        idx = np.unravel_index(int(x), shape.dims)
+        e = s[idx] - 1.0
+        if e <= 0.0:
+            continue
+        s += e * np.roll(p, idx, axis=(0, 1))
+        s[idx] -= e
+        u[idx] += e
+
+    after = sequential_topple_pass(state, order)
+    assert np.count_nonzero(u) > 0
+    assert np.array_equal(after.s.values, s)
+    assert np.array_equal(after.u.values, u)
