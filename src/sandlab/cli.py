@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import argparse
 import hashlib
-import itertools
 import math
 import re
 import sys
@@ -30,6 +29,7 @@ from ._util import parallel_map, thread_count
 from .fieldio import (
     format_float,
     heatmap_bytes,
+    occupancy_heatmap,
     points_to_csv,
     read_field,
     write_csv,
@@ -46,6 +46,8 @@ from .fieldstats import (
     variance_structure_curve,
 )
 from .growth import (
+    _apply_symmetry,
+    _signed_permutations,
     ball_volume_constant,
     continuum_obstacle_solve,
     idla_aggregate,
@@ -192,7 +194,7 @@ _SIGMA_KEYS = (
         choices=("gaussian", "uniform", "correlated", "stable", "pareto")),
     Key("stable_alpha", "float"),
     Key("pareto_index", "float"),
-    Key("scale", "float", default=1.0),
+    Key("scale", "float"),
     Key("delta", "float"),
 )
 
@@ -352,8 +354,6 @@ def _cross_validate(p: dict):
         raise ManifestError("long-range operator needs an 'alpha' key")
     if p.get("operator") == "nn" and p.get("alpha") is not None:
         raise ManifestError("'alpha' only applies to the long-range operator")
-    if kind in ("topple", "odometer"):
-        _check_sigma_keys(p)
     if kind == "variance":
         if p["sigma"] == "stable":
             raise ManifestError(
@@ -361,13 +361,12 @@ def _cross_validate(p: dict):
             )
         if p["sigma"] in ("uniform", "pareto"):
             raise ManifestError("the variance experiment covers the Gaussian regimes only")
-        if p["sigma"] == "correlated":
-            if p["operator"] != "nn":
-                raise ManifestError("correlated noise pairs with the nearest-neighbour operator")
-            if p.get("delta") is None:
-                raise ManifestError("correlated noise needs the spectral decay key 'delta'")
+        if p["sigma"] == "correlated" and p["operator"] != "nn":
+            raise ManifestError("correlated noise pairs with the nearest-neighbour operator")
         if len(p["n"]) < 2:
             raise ManifestError("the variance experiment needs at least two sizes")
+    if kind in ("topple", "odometer", "variance"):
+        _check_sigma_keys(p)
     if kind == "charfun" and not (0 < p["alpha"] < 2):
         raise ManifestError("charfun needs a stable index alpha in (0, 2)")
     if kind == "mean-odometer" and len(p["n"]) < 2:
@@ -380,8 +379,20 @@ def _cross_validate(p: dict):
         raise ManifestError("density-probe needs at least one trial")
 
 
+# Each noise parameter key and the one sigma regime that reads it.
+_SIGMA_KEY_REGIME = {
+    "scale": "stable",
+    "stable_alpha": "stable",
+    "pareto_index": "pareto",
+    "delta": "correlated",
+}
+
+
 def _check_sigma_keys(p: dict):
     sigma = p["sigma"]
+    for key, regime in _SIGMA_KEY_REGIME.items():
+        if p.get(key) is not None and sigma != regime:
+            raise ManifestError(f"key {key!r} only applies to sigma = {regime}, not {sigma}")
     if sigma == "stable" and not (p.get("stable_alpha") and 0 < p["stable_alpha"] <= 2):
         raise ManifestError("stable noise needs 'stable_alpha' in (0, 2]")
     if sigma == "pareto" and not (p.get("pareto_index") and p["pareto_index"] > 0):
@@ -429,7 +440,7 @@ def _sigma_spec(p: dict, shape: TorusShape) -> SigmaSpec:
     if sigma == "uniform":
         return SigmaSpec.iid_uniform()
     if sigma == "stable":
-        return SigmaSpec.stable(p["stable_alpha"], p.get("scale", 1.0))
+        return SigmaSpec.stable(p["stable_alpha"], 1.0 if p["scale"] is None else p["scale"])
     if sigma == "pareto":
         return SigmaSpec.pareto(p["pareto_index"])
     khat = power_law_multiplier(shape, -4.0 * p["delta"], at_zero=1.0)
@@ -479,7 +490,11 @@ def _run_topple(p, outdir, workers):
     mass_before = float(config.values.sum())
     final, report = stabilize(SandpileState.initial(op, config))
     mass_after = float(final.s.values.sum())
-    drift = abs(mass_after - mass_before) / mass_before
+    # relative to |mass_before|: a sum that cancels to zero or below must not pass
+    if mass_before:
+        drift = abs(mass_after - mass_before) / abs(mass_before)
+    else:
+        drift = 0.0 if mass_after == 0.0 else math.inf
     outputs = []
     write_csv(outdir / "topple.csv",
               ["status", "steps", "max_excess", "total_excess", "mass_before", "mass_after"],
@@ -659,8 +674,7 @@ def _run_idla(p, outdir, workers):
     write_csv(outdir / "idla.csv", ["seed", "volume", "inradius", "outradius", "deviation"], rows)
     outputs = ["idla.csv"]
     if p["heatmap"] and p["d"] == 2:
-        (outdir / "idla.pgm").write_bytes(
-            heatmap_bytes(results[0][1].occupied.astype(np.float64)))
+        occupancy_heatmap(outdir / "idla.pgm", results[0][1].occupied)
         outputs.append("idla.pgm")
     mean_dev = float(np.mean([m.ball_deviation for m, _ in results]))
     mean_radius = float(np.mean([(m.inradius + m.outradius) / 2.0 for m, _ in results]))
@@ -683,7 +697,7 @@ def _run_rotor(p, outdir, workers):
     points_to_csv(outdir / "rotor_points.csv", agg.points())
     outputs = ["rotor.csv", "rotor_points.csv"]
     if p["heatmap"] and p["d"] == 2:
-        (outdir / "rotor.pgm").write_bytes(heatmap_bytes(agg.occupied.astype(np.float64)))
+        occupancy_heatmap(outdir / "rotor.pgm", agg.occupied)
         outputs.append("rotor.pgm")
     criteria = [CriterionResult("ball-deviation", m.ball_deviation <= p["tol_deviation"],
                                 f"deviation={m.ball_deviation:.4f} tol={p['tol_deviation']}")]
@@ -756,10 +770,10 @@ def _run_obstacle_shape(p, outdir, workers):
     area = float(covered.sum()) * h**d
     area_err = abs(area - target_area) / target_area
     symmetric = True
-    for perm, signs in _signed_symmetries(d):
-        if not np.array_equal(_symmetry_image(source, perm, signs), source):
+    for perm, signs in _signed_permutations(d):
+        if not np.array_equal(_apply_symmetry(source, perm, signs), source):
             continue  # only symmetries that fix the source constrain the shape
-        if not np.array_equal(_symmetry_image(sol.occupied, perm, signs), sol.occupied):
+        if not np.array_equal(_apply_symmetry(sol.occupied, perm, signs), sol.occupied):
             symmetric = False
     write_csv(outdir / "obstacle.csv",
               ["area", "target_area", "iterations", "residual"],
@@ -770,22 +784,6 @@ def _run_obstacle_shape(p, outdir, workers):
         CriterionResult("symmetry", symmetric, "occupied set equals all its lattice-symmetry images"),
     ]
     return criteria, ["obstacle.csv"]
-
-
-def _signed_symmetries(d: int):
-    for perm in itertools.permutations(range(d)):
-        for signs in itertools.product((1, -1), repeat=d):
-            if perm == tuple(range(d)) and all(s > 0 for s in signs):
-                continue
-            yield perm, signs
-
-
-def _symmetry_image(arr: np.ndarray, perm, signs) -> np.ndarray:
-    out = np.transpose(arr, perm)
-    for ax, sg in enumerate(signs):
-        if sg < 0:
-            out = np.flip(out, axis=ax)
-    return out
 
 
 def _run_density_probe(p, outdir, workers):
@@ -906,7 +904,7 @@ def main(argv=None) -> int:
         manifest = load_manifest(args.manifest)
         workers = 1 if args.single_thread else thread_count(None)
         record = run(manifest, outdir=args.out, workers=workers)
-    except (OSError, ManifestError) as exc:
+    except (OSError, ValueError, RuntimeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for c in record.criteria:

@@ -31,7 +31,7 @@ from .lattice import (
     TorusShape,
     cell_integral_field,
 )
-from .odometer import eta_covariance_exact, eta_sample_batch
+from .odometer import eta_covariance_exact, eta_sample_batch, mode_weight
 from .operators import OperatorSpec, power_law_multiplier, solve_poisson
 from .sampling import CHUNK_REPLICATES, SigmaSpec, sigma_chunk
 from .testfun import TestFunction
@@ -124,15 +124,9 @@ def exact_pairing_variance(op: OperatorSpec, f: TestFunction, khat: np.ndarray |
     khat = None is independent unit-variance noise (mode weight 1/nsites);
     an array is the colored sampler's multiplier (mode weight khat(w)).
     """
-    shape = op.shape
-    c = cell_integral_field(f, shape)
-    chat = np.fft.fftn(c.values) / shape.nsites
-    lam = op.eigenvalues().values
-    weight = np.full(shape.dims, 1.0 / shape.nsites) if khat is None else np.asarray(khat, dtype=np.float64)
-    lam_safe = np.where(lam != 0.0, lam, 1.0)
-    terms = np.where(lam != 0.0, weight * np.abs(chat) ** 2 / lam_safe**2, 0.0)
-    terms.flat[0] = 0.0
-    return float(shape.nsites**2 * terms.sum())
+    c = cell_integral_field(f, op.shape)
+    potential_hat = np.fft.fftn(c.values) * op.inverse_symbol()
+    return float(np.sum(mode_weight(op.shape, khat) * np.abs(potential_hat) ** 2))
 
 
 def _mode_setup(mode: ScalingMode, shape: TorusShape):

@@ -341,9 +341,11 @@ def _dirichlet_poisson(rhs: np.ndarray) -> np.ndarray:
 
 
 def _signed_permutations(d: int):
+    """Every signed axis permutation of the d-cube except the identity."""
     for perm in itertools.permutations(range(d)):
         for signs in itertools.product((1, -1), repeat=d):
-            yield perm, signs
+            if perm != tuple(range(d)) or any(s < 0 for s in signs):
+                yield perm, signs
 
 
 def _apply_symmetry(arr: np.ndarray, perm, signs) -> np.ndarray:
@@ -364,8 +366,6 @@ def _symmetrize_like_source(field: np.ndarray, source: np.ndarray) -> np.ndarray
     """
     stack = [field]
     for perm, signs in _signed_permutations(field.ndim):
-        if perm == tuple(range(field.ndim)) and all(s > 0 for s in signs):
-            continue
         if np.array_equal(_apply_symmetry(source, perm, signs), source):
             stack.append(_apply_symmetry(field, perm, signs))
     if len(stack) == 1:

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .lattice import LatticeField, SpectralField, TorusShape, dft, idft
+from .lattice import LatticeField, TorusShape, _reverse_indices, wrap_coord
 from .operators import OperatorSpec, solve_poisson
 
 
@@ -79,8 +79,6 @@ class CovarianceTable:
     values: LatticeField
 
     def at_offset(self, x) -> float:
-        from .lattice import wrap_coord
-
         return float(self.values.values[wrap_coord(x, self.op.shape)])
 
     def increment_variance(self, x) -> float:
@@ -95,16 +93,19 @@ def eta_covariance_exact(op: OperatorSpec, khat: np.ndarray | None = None) -> Co
     A multiplier array means colored noise whose transform carries weight
     khat(w) per mode, matching the colored sampler's convention.
     """
-    shape = op.shape
-    lam = op.eigenvalues().values
-    weight = np.full(shape.dims, 1.0 / shape.nsites) if khat is None else np.asarray(khat, dtype=np.float64)
+    mode = mode_weight(op.shape, khat) * op.inverse_symbol() ** 2
+    values = np.fft.ifftn(mode).real * op.shape.nsites
+    return CovarianceTable(op, LatticeField(op.shape, values))
+
+
+def mode_weight(shape: TorusShape, khat: np.ndarray | None) -> np.ndarray:
+    """Per-mode noise weight: 1/nsites for white noise, else the multiplier."""
+    if khat is None:
+        return np.full(shape.dims, 1.0 / shape.nsites)
+    weight = np.asarray(khat, dtype=np.float64)
     if weight.shape != shape.dims:
         raise ValueError("covariance multiplier has the wrong shape")
-    lam_safe = np.where(lam != 0.0, lam, 1.0)
-    mode = np.where(lam != 0.0, weight / lam_safe**2, 0.0)
-    mode.flat[0] = 0.0
-    values = idft(SpectralField(shape, mode.astype(np.complex128)))
-    return CovarianceTable(op, values)
+    return weight
 
 
 def covariance_checks(table: CovarianceTable, tol: float = 1e-8) -> None:
@@ -112,10 +113,7 @@ def covariance_checks(table: CovarianceTable, tol: float = 1e-8) -> None:
     v = table.values.values
     if v.flat[0] <= 0:
         raise ValueError("variance at offset zero must be positive")
-    rev = v
-    for axis in range(v.ndim):
-        rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
-    if np.max(np.abs(rev - v)) > tol * max(1.0, float(np.max(np.abs(v)))):
+    if np.max(np.abs(_reverse_indices(v) - v)) > tol * max(1.0, float(np.max(np.abs(v)))):
         raise ValueError("covariance table is not even")
 
 
@@ -128,14 +126,6 @@ def eta_sample_batch(
     noise can be passed directly; the result is the block of mean-zero
     potentials of 1 + sigma - mean(sigma).
     """
-    shape = op.shape
-    if sigma_block.shape[1:] != shape.dims:
+    if sigma_block.shape[1:] != op.shape.dims:
         raise ValueError("sigma block does not match the operator's torus")
-    axes = tuple(range(1, sigma_block.ndim))
-    lam = op.eigenvalues().values
-    denom = np.where(lam != 0.0, -lam, 1.0)
-    mult = np.where(lam != 0.0, 1.0 / denom, 0.0)
-    mult.flat[0] = 0.0
-    coeffs = np.fft.fftn(sigma_block, axes=axes)
-    coeffs *= mult  # zero mode dropped here, which also absorbs the centering
-    return np.fft.ifftn(coeffs, axes=axes).real
+    return op.solve(sigma_block)

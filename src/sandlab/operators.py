@@ -13,7 +13,9 @@ The long-range generator redistributes through a heavy-tailed jump kernel
 folded onto the torus and normalized to total mass one; the generator is
 convolution by p minus the identity.  Since p(0) > 0 the kernel keeps a
 self-loop.  Eigenvalue tables come from the transform of p - delta, which is
-the single source of truth for all long-range spectral computations.
+the single source of truth for all long-range spectral computations.  Each
+operator caches its inverse symbol -1/lambda, and every Poisson solve,
+covariance and batched sample in the package goes through that one table.
 
 The folded kernel is evaluated by an Ewald split of the lattice sum: a
 Gaussian-damped real-space part plus a Gaussian-damped frequency part, both of
@@ -31,27 +33,9 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import exp1, gamma as gamma_fn, gammaincc
 
-from .lattice import (
-    LatticeField,
-    SpectralField,
-    TorusShape,
-    dft,
-    frequency_grid,
-    idft,
-)
+from .lattice import LatticeField, TorusShape, frequency_grid
 
 _EWALD_RADIUS_CAP = 16
-
-
-def nn_laplacian_apply(f: LatticeField) -> LatticeField:
-    """Apply the averaging-minus-identity nearest-neighbour Laplacian."""
-    v = f.values
-    d = f.shape.d
-    acc = np.zeros_like(v)
-    for axis in range(d):
-        acc += np.roll(v, 1, axis=axis)
-        acc += np.roll(v, -1, axis=axis)
-    return LatticeField(f.shape, acc / (2.0 * d) - v)
 
 
 def nn_eigenvalues(shape: TorusShape) -> "EigenvalueTable":
@@ -155,14 +139,6 @@ def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTab
     return KernelTable(shape, p, alpha, tol, radius * n)
 
 
-def lr_apply(f: LatticeField, kernel: "KernelTable") -> LatticeField:
-    """Apply convolution-by-p minus identity through the transform."""
-    if kernel.shape != f.shape:
-        raise ValueError("kernel and field shapes differ")
-    conv = np.fft.ifftn(np.fft.fftn(f.values) * np.fft.fftn(kernel.p)).real
-    return LatticeField(f.shape, conv - f.values)
-
-
 def lr_eigenvalues(kernel: "KernelTable") -> "EigenvalueTable":
     """Transform of p - delta; real, zero at the zero frequency, negative off it."""
     lam = np.fft.fftn(kernel.p).real
@@ -192,9 +168,6 @@ class EigenvalueTable:
         if np.any(flat[1:] >= 0):
             raise ValueError("found a non-negative eigenvalue away from frequency zero")
 
-    def to_field(self) -> LatticeField:
-        return LatticeField(self.shape, self.values.copy())
-
 
 @dataclass(frozen=True)
 class KernelTable:
@@ -212,32 +185,73 @@ class KernelTable:
             raise ValueError("kernel table has the wrong shape")
         object.__setattr__(self, "p", p)
 
-    def to_field(self) -> LatticeField:
-        return LatticeField(self.shape, self.p.copy())
+
+class BufferedGenerator:
+    """The generator L of one operator, applied between two reusable buffers.
+
+    Write a field into ``x`` and call ``apply``: L x lands in ``out``, and
+    both buffers are overwritten in place on every call.  The
+    nearest-neighbour stencil is a fixed list of (output view, input view)
+    pairs built once; it adds the 2d shifted copies in a fixed order (axis 0
+    by +1 then -1, then axis 1, ...), divides by 2d and subtracts x.  That
+    order is the one of the np.roll sum, and it is fixed on purpose:
+    floating-point addition is not associative.  The long-range kernel's
+    transform is computed once, so each application costs two FFTs.
+    """
+
+    def __init__(self, op: "OperatorSpec"):
+        self.x = np.empty(op.shape.dims)
+        self.out = np.empty(op.shape.dims)
+        if op.kind == "lr":
+            self._phat = np.fft.fftn(op.kernel().p)
+            return
+        self._phat = None
+        self._share = 2.0 * op.shape.d
+        self._pairs = []
+        for axis in range(op.shape.d):
+            g, x = np.moveaxis(self.out, axis, 0), np.moveaxis(self.x, axis, 0)
+            # the shift by +1 reads x[i - 1], then the shift by -1 reads x[i + 1]
+            self._pairs += [(g[1:], x[:-1]), (g[:1], x[-1:]), (g[:-1], x[1:]), (g[-1:], x[:1])]
+
+    def apply(self) -> np.ndarray:
+        """Overwrite and return ``out`` with L applied to ``x``."""
+        x, g = self.x, self.out
+        if self._phat is None:
+            g.fill(0.0)
+            for dst, src in self._pairs:
+                np.add(dst, src, out=dst)
+            np.divide(g, self._share, out=g)
+            np.subtract(g, x, out=g)
+        else:
+            xhat = np.fft.fftn(x)
+            xhat *= self._phat
+            np.subtract(np.fft.ifftn(xhat).real, x, out=g)
+        return g
 
 
 @dataclass
 class OperatorSpec:
-    """Chosen generator: nearest-neighbour, long-range, or a raw multiplier."""
+    """Chosen generator, nearest-neighbour or long-range, with its cached tables.
+
+    Everything spectral goes through two cached tables: the eigenvalues
+    lambda and the inverse symbol -1/lambda (zero at lambda = 0).  The
+    generator itself is applied by ``BufferedGenerator``, its only
+    implementation.
+    """
 
     kind: str
     shape: TorusShape
     alpha: float | None = None
     tol: float = 1e-10
-    multiplier: np.ndarray | None = None
     _eig: EigenvalueTable | None = field(default=None, repr=False, compare=False)
+    _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _kernel: KernelTable | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.kind not in ("nn", "lr", "multiplier"):
+        if self.kind not in ("nn", "lr"):
             raise ValueError(f"unknown operator kind {self.kind!r}")
         if self.kind == "lr" and not (self.alpha and self.alpha > 0):
             raise ValueError("long-range operator needs alpha > 0")
-        if self.kind == "multiplier":
-            m = np.asarray(self.multiplier, dtype=np.float64)
-            if m.shape != self.shape.dims:
-                raise ValueError("multiplier table has the wrong shape")
-            self.multiplier = m
 
     @classmethod
     def nearest_neighbour(cls, shape: TorusShape) -> "OperatorSpec":
@@ -246,10 +260,6 @@ class OperatorSpec:
     @classmethod
     def long_range(cls, shape: TorusShape, alpha: float, tol: float = 1e-10) -> "OperatorSpec":
         return cls("lr", shape, alpha=alpha, tol=tol)
-
-    @classmethod
-    def fourier_multiplier(cls, shape: TorusShape, values) -> "OperatorSpec":
-        return cls("multiplier", shape, multiplier=np.asarray(values, dtype=np.float64))
 
     def kernel(self) -> KernelTable:
         if self.kind != "lr":
@@ -262,44 +272,37 @@ class OperatorSpec:
         if self._eig is None:
             if self.kind == "nn":
                 self._eig = nn_eigenvalues(self.shape)
-            elif self.kind == "lr":
-                self._eig = lr_eigenvalues(self.kernel())
             else:
-                self._eig = EigenvalueTable(self.shape, self.multiplier)
+                self._eig = lr_eigenvalues(self.kernel())
         return self._eig
+
+    def inverse_symbol(self) -> np.ndarray:
+        """-1/lambda at each frequency, and 0 where lambda is 0 (the zero mode)."""
+        if self._inv is None:
+            lam = self.eigenvalues().values
+            inv = np.zeros(self.shape.dims)
+            np.divide(-1.0, lam, out=inv, where=lam != 0.0)
+            inv.flat[0] = 0.0
+            self._inv = inv
+        return self._inv
 
     def apply(self, f: LatticeField) -> LatticeField:
         if f.shape != self.shape:
             raise ValueError("field shape does not match operator shape")
-        if self.kind == "nn":
-            return nn_laplacian_apply(f)
-        if self.kind == "lr":
-            return lr_apply(f, self.kernel())
-        return multiplier_apply(f, SpectralMultiplier(self.shape, self.multiplier))
+        gen = BufferedGenerator(self)
+        gen.x[...] = f.values
+        return LatticeField(self.shape, gen.apply())
 
+    def solve(self, block: np.ndarray) -> np.ndarray:
+        """Mean-zero h with (-L) h = block - mean(block) over the trailing d axes.
 
-@dataclass(frozen=True)
-class SpectralMultiplier:
-    """Real frequency map applied mode by mode, ignoring the zero mode."""
-
-    shape: TorusShape
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.shape.dims:
-            raise ValueError("multiplier has the wrong shape")
-        object.__setattr__(self, "values", v)
-
-
-def multiplier_apply(f: LatticeField, m: SpectralMultiplier) -> LatticeField:
-    """Multiply the transform of f by m, forcing the zero mode to zero."""
-    if m.shape != f.shape:
-        raise ValueError("multiplier and field shapes differ")
-    F = dft(f)
-    coeffs = F.coeffs * m.values
-    coeffs.flat[0] = 0.0
-    return idft(SpectralField(f.shape, coeffs))
+        Leading axes index replicates.  Dropping the zero mode absorbs the
+        centering, so raw (uncentered) fields may be passed.
+        """
+        axes = tuple(range(block.ndim - self.shape.d, block.ndim))
+        coeffs = np.fft.fftn(block, axes=axes)
+        coeffs *= self.inverse_symbol()
+        return np.fft.ifftn(coeffs, axes=axes).real
 
 
 def solve_poisson(charge: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9) -> LatticeField:
@@ -307,7 +310,8 @@ def solve_poisson(charge: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9
 
     The charge must have total mass within ``mass_tol * nsites`` of zero, since
     the generator annihilates constants; otherwise no solution exists and the
-    residual mass is reported in the error.
+    residual mass is reported in the error.  The solve is the one-replicate
+    case of ``OperatorSpec.solve``.
     """
     if charge.shape != op.shape:
         raise ValueError("charge shape does not match operator shape")
@@ -317,13 +321,7 @@ def solve_poisson(charge: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9
             f"charge has residual mass {total:.3e}; the generator annihilates "
             "constants so only mean-zero charges are solvable"
         )
-    lam = op.eigenvalues().values
-    C = dft(charge).coeffs
-    denom = -lam
-    denom_safe = np.where(denom != 0.0, denom, 1.0)
-    H = np.where(denom != 0.0, C / denom_safe, 0.0)
-    H.flat[0] = 0.0
-    return idft(SpectralField(charge.shape, H))
+    return LatticeField(charge.shape, op.solve(charge.values[None])[0])
 
 
 def power_law_multiplier(shape: TorusShape, exponent: float, at_zero: float = 1.0) -> np.ndarray:

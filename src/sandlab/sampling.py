@@ -19,7 +19,7 @@ import numpy as np
 from scipy.special import ndtri
 
 from ._util import generator
-from .lattice import LatticeField, TorusShape
+from .lattice import LatticeField, TorusShape, _reverse_indices
 
 _DRAWS_PER_SITE = 2
 _FIELD_STREAM = 0
@@ -99,10 +99,7 @@ def validate_multiplier(khat, shape: TorusShape) -> MultiplierCheck:
     if bad.size:
         idx = np.unravel_index(int(bad[0]) + 1, k.shape)
         return MultiplierCheck(False, "multiplier must be positive away from frequency zero", idx)
-    rev = k
-    for axis in range(k.ndim):
-        rev = np.roll(np.flip(rev, axis=axis), 1, axis=axis)
-    mism = np.abs(rev - k)
+    mism = np.abs(_reverse_indices(k) - k)
     scale = max(1.0, float(np.max(np.abs(k))))
     if np.max(mism) > 1e-9 * scale:
         idx = np.unravel_index(int(np.argmax(mism)), k.shape)

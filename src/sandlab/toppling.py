@@ -19,7 +19,7 @@ import numpy as np
 
 from ._util import generator
 from .lattice import LatticeField, TorusShape
-from .operators import OperatorSpec
+from .operators import BufferedGenerator, OperatorSpec
 
 
 @dataclass(frozen=True)
@@ -54,60 +54,26 @@ def _excess(values: np.ndarray) -> np.ndarray:
     return np.clip(values - 1.0, 0.0, None)
 
 
-class _ParallelToppler:
-    """Excess and generator buffers for parallel steps, reused on every step.
+def _excess_into(gen: BufferedGenerator, s: np.ndarray) -> np.ndarray:
+    """Overwrite and return the generator's input buffer with max(s - 1, 0)."""
+    np.subtract(s, 1.0, out=gen.x)
+    return np.maximum(gen.x, 0.0, out=gen.x)
 
-    The nearest-neighbour stencil is a fixed list of (accumulator view,
-    excess view) pairs; the long-range step uses the kernel transform
-    computed here.
-    """
 
-    def __init__(self, op: OperatorSpec):
-        self.e = np.empty(op.shape.dims)
-        self._g = np.empty(op.shape.dims)
-        self._phat = None
-        if op.kind == "nn":
-            self._share = 2.0 * op.shape.d
-            self._pairs = []
-            for axis in range(op.shape.d):
-                g, e = np.moveaxis(self._g, axis, 0), np.moveaxis(self.e, axis, 0)
-                # the shift by +1 reads e[i - 1], then the shift by -1 reads e[i + 1]
-                self._pairs += [(g[1:], e[:-1]), (g[:1], e[-1:]), (g[:-1], e[1:]), (g[-1:], e[:1])]
-        elif op.kind == "lr":
-            self._phat = np.fft.fftn(op.kernel().p)
-        else:
-            raise ValueError("toppling needs a nearest-neighbour or long-range operator")
-
-    def excess(self, s: np.ndarray) -> np.ndarray:
-        """Overwrite and return the excess buffer with max(s - 1, 0)."""
-        np.subtract(s, 1.0, out=self.e)
-        return np.maximum(self.e, 0.0, out=self.e)
-
-    def topple(self, s: np.ndarray, u: np.ndarray) -> None:
-        """Topple the excess last computed by ``excess``: s += generator(e), u += e."""
-        e, g = self.e, self._g
-        if self._phat is None:
-            g.fill(0.0)
-            for dst, src in self._pairs:
-                np.add(dst, src, out=dst)
-            np.divide(g, self._share, out=g)
-            np.subtract(g, e, out=g)
-        else:
-            ehat = np.fft.fftn(e)
-            ehat *= self._phat
-            np.subtract(np.fft.ifftn(ehat).real, e, out=g)
-        np.add(s, g, out=s)
-        np.add(u, e, out=u)
+def _topple(gen: BufferedGenerator, s: np.ndarray, u: np.ndarray) -> None:
+    """Topple the excess last written by ``_excess_into``: s += L e, u += e."""
+    np.add(s, gen.apply(), out=s)
+    np.add(u, gen.x, out=u)
 
 
 def parallel_topple_step(state: SandpileState) -> SandpileState:
     """Topple every unstable site at once; stable states are fixed points."""
-    toppler = _ParallelToppler(state.op)
-    if not toppler.excess(state.s.values).any():
+    gen = BufferedGenerator(state.op)
+    if not _excess_into(gen, state.s.values).any():
         return state
     s_new = state.s.values.copy()
     u_new = state.u.values.copy()
-    toppler.topple(s_new, u_new)
+    _topple(gen, s_new, u_new)
     return SandpileState(
         state.op,
         LatticeField(state.op.shape, s_new),
@@ -146,7 +112,7 @@ def sequential_topple_pass(state: SandpileState, order) -> SandpileState:
             uf[x] += e
         s = sf.reshape(shape.dims)
         u = uf.reshape(shape.dims)
-    elif op.kind == "lr":
+    else:
         p = op.kernel().p
         # offset[x, y] = (y - x) mod n: indexing p by the rows of the site's
         # coordinates gives the kernel centred on that site
@@ -160,8 +126,6 @@ def sequential_topple_pass(state: SandpileState, order) -> SandpileState:
             s += e * p[np.ix_(*offset[list(idx)])]
             s[idx] -= e
             u[idx] += e
-    else:
-        raise ValueError("toppling needs a nearest-neighbour or long-range operator")
 
     return SandpileState(op, LatticeField(shape, s), LatticeField(shape, u), state.t + 1)
 
@@ -197,16 +161,16 @@ def stabilize(
     state holds at most one per site), so it is reported as exploded without
     stepping.
 
-    The run allocates its excess and generator buffers once and overwrites
-    them on every step; heights and odometer are updated in place on copies
-    of the input fields.  The nearest-neighbour stencil adds the 2d shifted
-    excesses in a fixed order (axis 0 by +1 then -1, then axis 1, ...) on
-    purpose: floating-point addition is not associative, and this order keeps
-    every report, odometer and final field bit-identical to the reference
-    engine frozen in the tests.  The long-range kernel's transform is
-    computed once per call, so a step costs two FFTs.  on_step, if given, is
-    called after every step with a state holding copies of the fields, so
-    mutating them cannot change the run.
+    Each step applies the operator's one generator implementation,
+    ``operators.BufferedGenerator``, whose buffers are allocated once per
+    call and overwritten on every step: the excess is written into its
+    input buffer and L e is read from its output buffer.  Heights and
+    odometer are updated in place on copies of the input fields.  The
+    generator's fixed summation order (nearest neighbour) and once-per-call
+    kernel transform (long range, two FFTs a step) keep every report,
+    odometer and final field bit-identical to the reference engine frozen in
+    the tests.  on_step, if given, is called after every step with a state
+    holding copies of the fields, so mutating them cannot change the run.
     """
     shape = state.op.shape
     if tol is None:
@@ -221,12 +185,12 @@ def stabilize(
         return state, report
 
     op = state.op
-    toppler = _ParallelToppler(op)
+    gen = BufferedGenerator(op)
     s = state.s.values.copy()
     u = state.u.values.copy()
     steps = 0
     while True:
-        e = toppler.excess(s)
+        e = _excess_into(gen, s)
         total = float(e.sum())
         if total <= tol:
             status = "stabilized"
@@ -234,7 +198,7 @@ def stabilize(
         if steps >= step_limit:
             status = "step-limit"
             break
-        toppler.topple(s, u)
+        _topple(gen, s, u)
         steps += 1
         if on_step is not None:
             on_step(

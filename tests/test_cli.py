@@ -18,9 +18,11 @@ from sandlab.cli import (
     validate_manifest,
 )
 from sandlab.fieldio import read_field
+from sandlab.lattice import LatticeField
+from sandlab.toppling import SandpileState, StabilizationReport
 
 
-TOPPLE = "kind = topple\nn = 8\nd = 2\nsigma = gaussian\nscale = 0.2\nseed = 1\n"
+TOPPLE = "kind = topple\nn = 8\nd = 2\nsigma = gaussian\nseed = 1\n"
 
 
 def test_parse_serialize_round_trip():
@@ -36,7 +38,7 @@ def test_parse_serialize_round_trip():
 
 
 def test_hash_ignores_formatting_noise():
-    noisy = "# header\n\nkind = topple\nd = 2   # trailing\nn = 8\nscale = 0.2\nseed = 1\nsigma = gaussian\n"
+    noisy = "# header\n\nkind = topple\nd = 2   # trailing\nn = 8\nseed = 1\nsigma = gaussian\n"
     assert manifest_hash(parse_manifest(noisy)) == manifest_hash(parse_manifest(TOPPLE))
 
 
@@ -79,6 +81,18 @@ def test_validate_cross_key_rules():
         ("kind = charfun\nn = 8\nd = 2\nalpha = 2.5\nf = cos 1 0\nsamples = 10\n", r"alpha in \(0, 2\)"),
         ("kind = topple\nn = 8\nd = 2\nsigma = correlated\n", "delta"),
         ("kind = topple\nn = 8\nd = 2\nsigma = stable\n", "stable_alpha"),
+        # noise parameters apply to their own sigma regime only
+        ("kind = topple\nn = 8\nd = 2\ndelta = 3.0\npareto_index = 2.0\n", "only applies to sigma"),
+        ("kind = topple\nn = 8\nd = 2\ndelta = 3.0\n", "'delta' only applies to sigma = correlated"),
+        ("kind = topple\nn = 8\nd = 2\nscale = 0.2\n", "'scale' only applies to sigma = stable"),
+        ("kind = odometer\nn = 8\nd = 2\nsigma = pareto\npareto_index = 2.0\nstable_alpha = 1.0\n",
+         "'stable_alpha' only applies to sigma = stable"),
+        ("kind = odometer\nn = 8\nd = 2\nsigma = stable\nstable_alpha = 1.0\npareto_index = 2.0\n",
+         "'pareto_index' only applies to sigma = pareto"),
+        ("kind = topple\nn = 8\nd = 2\nsigma = correlated\ndelta = 0.5\nscale = 2.0\n",
+         "'scale' only applies to sigma = stable"),
+        ("kind = variance\nn = 8, 16\nd = 2\nf = cos 1 0\nsamples = 10\ndelta = 0.25\n",
+         "'delta' only applies to sigma = correlated"),
     ]
     for text, match in cases:
         with pytest.raises(ManifestError, match=match):
@@ -142,6 +156,54 @@ def test_run_exit_one_on_error(tmp_path, monkeypatch, capsys):
     assert "error:" in capsys.readouterr().err
 
 
+def test_run_exit_one_on_runner_exception(tmp_path, monkeypatch, capsys):
+    # A box too small for the aggregate raises inside the runner; the CLI
+    # reports it like any other error instead of dying with a traceback.
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "b.txt", "kind = idla\nparticles = 300\nd = 2\ntrials = 1\nbox = 4\nout = outb\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "box" in err
+    assert "Traceback" not in err
+
+
+def test_stable_scale_reaches_the_sampler(tmp_path, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    base = "kind = topple\nn = 8\nd = 2\nsigma = stable\nstable_alpha = 1.5\nseed = 2\n"
+    fields = []
+    for name, extra in (("outs0", ""), ("outs1", "scale = 1.0\n"), ("outs2", "scale = 0.5\n")):
+        path = write(tmp_path, f"{name}.txt", base + extra + f"out = {name}\n")
+        assert main(["run", path]) == 0
+        fields.append(Path(f"{name}/odometer.dsf1").read_bytes())
+    assert fields[0] == fields[1]  # an absent scale means 1.0
+    assert fields[0] != fields[2]
+
+
+@pytest.mark.parametrize("mass_before, mass_after, verdict", [
+    (64.0, 64.0, "pass (relative drift=0.000e+00)"),
+    (-6.6e268, 4.8e269, "fail (relative drift=8.273e+00)"),
+    (0.0, 1.0, "fail (relative drift=inf)"),
+])
+def test_mass_conserved_uses_the_magnitude_of_the_initial_mass(
+        tmp_path, monkeypatch, capsys, mass_before, mass_after, verdict):
+    # Stand-in for a run whose initial heights sum to zero or below (heavy
+    # Pareto tails cancel): the drift is measured against |mass_before|.
+    monkeypatch.chdir(tmp_path)
+    shape = (8, 8)
+    start = np.full(shape, mass_before / 64)
+    monkeypatch.setattr(cli, "make_initial_config",
+                        lambda sigma: LatticeField(sigma.shape, start))
+
+    def fake_stabilize(state):
+        s = LatticeField(state.op.shape, np.full(shape, mass_after / 64))
+        return SandpileState(state.op, s, state.u, state.t + 1), StabilizationReport("stabilized", 1, 0.0, 0.0)
+
+    monkeypatch.setattr(cli, "stabilize", fake_stabilize)
+    path = write(tmp_path, "m.txt", TOPPLE + "out = outm\nwrite_fields = false\n")
+    assert main(["run", path]) == (0 if verdict.startswith("pass") else 2)
+    assert f"criterion mass-conserved = {verdict}" in capsys.readouterr().out
+
+
 @pytest.mark.parametrize("token", ["nan", "inf", "-inf"])
 def test_non_finite_numbers_are_rejected(tmp_path, monkeypatch, capsys, token):
     monkeypatch.chdir(tmp_path)
@@ -169,6 +231,10 @@ def test_validate_exit_codes(tmp_path, capsys):
     bad = write(tmp_path, "b.txt", "kind = variance\nn = 8\nd = 2\nf = cos 1 0\nsamples = 10\n")
     assert main(["validate", bad]) == 1
     assert "invalid:" in capsys.readouterr().err
+
+    ignored = write(tmp_path, "i.txt", "kind = topple\nn = 8\nd = 2\nsigma = gaussian\ndelta = 3.0\n")
+    assert main(["validate", ignored]) == 1
+    assert "'delta' only applies" in capsys.readouterr().err
 
     assert main(["validate", str(tmp_path / "missing.txt")]) == 1
 

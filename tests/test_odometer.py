@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sandlab import TorusShape, LatticeField, OperatorSpec
+from sandlab import TorusShape, LatticeField, OperatorSpec, solve_poisson
 from sandlab.odometer import (
     covariance_checks,
     eta_covariance_exact,
@@ -172,3 +172,16 @@ def test_eta_sample_batch_matches_single_field():
         s = make_initial_config(LatticeField(shape, block[k]))
         single = eta_field(s, op).field.values
         assert np.max(np.abs(batch[k] - single)) < 1e-12
+
+
+@pytest.mark.parametrize("d, n", [(1, 30), (2, 24), (3, 6)])
+def test_solve_poisson_and_batch_share_one_spectral_solve(d, n):
+    # Both routes divide by the operator's one cached inverse symbol, so the
+    # same centered noise gives bit-identical potentials.
+    shape = TorusShape(d, n)
+    for op in (OperatorSpec.nearest_neighbour(shape), OperatorSpec.long_range(shape, 1.5)):
+        sigma = sample_sigma(SigmaSpec.iid_gaussian(), shape, 5).values
+        charge = sigma - sigma.mean()
+        single = solve_poisson(LatticeField(shape, charge), op).values
+        batch = eta_sample_batch(op, charge[None])
+        assert np.array_equal(single, batch[0])

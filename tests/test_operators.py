@@ -7,13 +7,9 @@ from sandlab import TorusShape, LatticeField, OperatorSpec, solve_poisson, power
 from sandlab.lattice import dft
 from sandlab.operators import (
     EigenvalueTable,
-    SpectralMultiplier,
-    lr_apply,
     lr_eigenvalues,
     lr_kernel,
-    multiplier_apply,
     nn_eigenvalues,
-    nn_laplacian_apply,
 )
 
 try:
@@ -27,14 +23,14 @@ def test_nn_apply_on_delta_d1():
     # Unit mass at the origin on n=4: the site loses itself, each neighbour
     # receives half.  Frozen from the generator acting on a delta.
     f = LatticeField(TorusShape(1, 4), np.array([1.0, 0.0, 0.0, 0.0]))
-    got = nn_laplacian_apply(f).values
+    got = OperatorSpec.nearest_neighbour(f.shape).apply(f).values
     assert np.allclose(got, [-1.0, 0.5, 0.0, 0.5], atol=1e-15)
 
 
 def test_nn_apply_conserves_mass():
     rng = np.random.default_rng(3)
     f = LatticeField(TorusShape(2, 6), rng.standard_normal((6, 6)))
-    got = nn_laplacian_apply(f).values
+    got = OperatorSpec.nearest_neighbour(f.shape).apply(f).values
     assert abs(got.sum()) < 1e-12
 
 
@@ -52,7 +48,7 @@ def test_nn_eigenvalues_diagonalize_the_operator():
     shape = TorusShape(2, 8)
     f = LatticeField(shape, rng.standard_normal((8, 8)))
     lam = nn_eigenvalues(shape).values
-    lhs = dft(nn_laplacian_apply(f)).coeffs
+    lhs = dft(OperatorSpec.nearest_neighbour(shape).apply(f)).coeffs
     rhs = lam * dft(f).coeffs
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
@@ -116,9 +112,10 @@ def test_lr_eigenvalues_sign_structure():
 def test_lr_apply_spectral_vs_direct_convolution():
     rng = np.random.default_rng(5)
     shape = TorusShape(2, 8)
-    kern = lr_kernel(shape, 1.0)
+    op = OperatorSpec.long_range(shape, 1.0)
+    kern = op.kernel()
     f = LatticeField(shape, rng.standard_normal(shape.dims))
-    got = lr_apply(f, kern).values
+    got = op.apply(f).values
     # direct circular convolution minus identity
     conv = np.zeros(shape.dims)
     for dx in range(8):
@@ -173,7 +170,7 @@ def test_solve_poisson_frozen_n2():
     charge = LatticeField(shape, np.array([1.0, -1.0]))
     got = solve_poisson(charge, op).values
     assert np.allclose(got, [0.5, -0.5], atol=1e-14)
-    oracle = dense_pinv_solve(charge.values, lambda v: nn_laplacian_apply(LatticeField(shape, v)))
+    oracle = dense_pinv_solve(charge.values, lambda v: op.apply(LatticeField(shape, v)))
     assert np.allclose(got, oracle, atol=1e-12)
 
 
@@ -184,7 +181,7 @@ def test_solve_poisson_matches_dense_oracle():
     charge = rng.standard_normal(shape.dims)
     charge -= charge.mean()
     got = solve_poisson(LatticeField(shape, charge), op).values
-    oracle = dense_pinv_solve(charge, lambda v: nn_laplacian_apply(LatticeField(shape, v)))
+    oracle = dense_pinv_solve(charge, lambda v: op.apply(LatticeField(shape, v)))
     assert np.max(np.abs(got - oracle)) < 1e-11
     assert abs(got.sum()) < 1e-12
 
@@ -217,18 +214,6 @@ def test_power_law_multiplier_matches_mode_sum():
             norm = np.hypot(float(w[i]), float(w[j]))
             want = 1.0 if norm == 0 else norm**-1.0
             assert abs(got[i, j] - want) < 1e-14
-
-
-def test_multiplier_apply_diagonal_action():
-    rng = np.random.default_rng(8)
-    shape = TorusShape(1, 8)
-    # even in the frequency variable so the multiplied spectrum stays real
-    m = np.cos(np.fft.fftfreq(8, d=1.0 / 8) * 0.3) + 2.0
-    f = LatticeField(shape, rng.standard_normal(8))
-    got = multiplier_apply(f, SpectralMultiplier(shape, m))
-    want_hat = m * dft(f).coeffs
-    want_hat[0] = 0.0  # the zero mode is always projected out
-    assert np.max(np.abs(dft(got).coeffs - want_hat)) < 1e-12
 
 
 def test_eigenvalue_table_check_rejects_positive_modes():
