@@ -3,10 +3,11 @@
 A manifest is a flat key-value text file (``key = value`` lines, ``#``
 comments).  Values are typed: integers, floats, booleans, bare strings, or
 comma-separated lists of these.  ``run`` executes the experiment the manifest
-describes, writes CSV tables (and field snapshots or PGM images on request)
-into the output directory, and prints one machine-parsable line per
-criterion.  Exit codes: 0 all criteria pass, 2 some criterion failed, 1
-usage or validation error.
+describes and prints one machine-parsable line per criterion.  Only once the
+experiment has finished does it create the output directory and write the
+CSV tables (and field snapshots or PGM images on request) into it, so a run
+that exits 1 leaves no output directory.  Exit codes: 0 all criteria pass,
+2 some criterion failed, 1 usage or validation error.
 
 Every output byte is determined by the manifest content and the seed; thread
 count never changes results, only wall time.
@@ -29,8 +30,6 @@ from ._util import parallel_map, thread_count
 from .fieldio import (
     format_float,
     heatmap_bytes,
-    occupancy_heatmap,
-    points_to_csv,
     read_field,
     write_csv,
     write_field,
@@ -48,10 +47,10 @@ from .fieldstats import (
 from .growth import (
     _apply_symmetry,
     _signed_permutations,
-    ball_volume_constant,
     continuum_obstacle_solve,
     idla_aggregate,
     point_source_sandpile,
+    predicted_radius,
     rotor_router_aggregate,
     shape_metrics,
 )
@@ -63,21 +62,6 @@ from .testfun import TestFunction
 from .toppling import SandpileState, density_probe, stabilize
 
 VERSION = "0.1.0"
-
-KINDS = (
-    "topple",
-    "odometer",
-    "variance",
-    "charfun",
-    "mean-odometer",
-    "variance-structure",
-    "kernel-decay",
-    "idla",
-    "rotor",
-    "point-source",
-    "obstacle-shape",
-    "density-probe",
-)
 
 
 class ManifestError(ValueError):
@@ -189,109 +173,35 @@ _OPERATOR_KEYS = (
     Key("alpha", "float"),
 )
 
+_SIGMA = Key("sigma", "str", default="gaussian",
+             choices=("gaussian", "uniform", "correlated", "stable", "pareto"))
+_DELTA = Key("delta", "float")
 _SIGMA_KEYS = (
-    Key("sigma", "str", default="gaussian",
-        choices=("gaussian", "uniform", "correlated", "stable", "pareto")),
+    _SIGMA,
     Key("stable_alpha", "float"),
     Key("pareto_index", "float"),
     Key("scale", "float"),
-    Key("delta", "float"),
+    _DELTA,
 )
 
-_SCHEMAS = {
-    "topple": _COMMON + _OPERATOR_KEYS + _SIGMA_KEYS + (
-        Key("d", "int", required=True),
-        Key("n", "int", required=True),
-        Key("write_fields", "bool", default=True),
-        Key("heatmap", "bool", default=False),
-    ),
-    "odometer": _COMMON + _OPERATOR_KEYS + _SIGMA_KEYS + (
-        Key("d", "int", required=True),
-        Key("n", "int", required=True),
-        Key("write_fields", "bool", default=True),
-        Key("heatmap", "bool", default=False),
-    ),
-    "variance": _COMMON + _OPERATOR_KEYS + (
-        Key("sigma", "str", default="gaussian",
-            choices=("gaussian", "uniform", "correlated", "stable", "pareto")),
-        Key("delta", "float"),
-        Key("d", "int", required=True),
-        Key("n", "ints", required=True),
-        Key("f", "str", required=True),
-        Key("f2", "str"),
-        Key("samples", "int", required=True),
-        Key("tol_flatness", "float", default=0.15),
-        Key("tol_agreement", "float", default=0.10),
-    ),
-    "charfun": _COMMON + (
-        Key("d", "int", required=True),
-        Key("n", "int", required=True),
-        Key("alpha", "float", required=True),
-        Key("f", "str", required=True),
-        Key("samples", "int", required=True),
-        Key("t", "floats", default=(0.5, 1.0, 2.0)),
-        Key("quad_points", "int", default=256),
-        Key("tol_magnitude", "float", default=0.15),
-        Key("tol_doubling", "float", default=0.10),
-    ),
-    "mean-odometer": _COMMON + _OPERATOR_KEYS + (
-        Key("d", "int", required=True),
-        Key("n", "ints", required=True),
-        Key("samples", "int", required=True),
-        Key("slope_tol", "float"),
-    ),
-    "variance-structure": _COMMON + _OPERATOR_KEYS + (
-        Key("d", "int", required=True),
-        Key("n", "int", required=True),
-        Key("r", "ints", required=True),
-        Key("tol", "float", default=0.2),
-    ),
-    "kernel-decay": _COMMON + _OPERATOR_KEYS + (
-        Key("d", "int", required=True),
-        Key("n", "int", required=True),
-        Key("r", "ints", required=True),
-        Key("tol", "float", default=0.3),
-    ),
-    "idla": _COMMON + (
-        Key("particles", "int", required=True),
-        Key("d", "int", required=True),
-        Key("trials", "int", default=20),
-        Key("box", "int"),
-        Key("tol_deviation", "float", default=0.15),
-        Key("tol_radius", "float", default=0.05),
-        Key("heatmap", "bool", default=False),
-    ),
-    "rotor": _COMMON + (
-        Key("particles", "int", required=True),
-        Key("d", "int", required=True),
-        Key("box", "int"),
-        Key("tol_deviation", "float", default=0.05),
-        Key("heatmap", "bool", default=False),
-    ),
-    "point-source": _COMMON + (
-        Key("mass", "float", required=True),
-        Key("d", "int", required=True),
-        Key("tau", "float", default=1e-6),
-        Key("box", "int"),
-        Key("tol_deviation", "float", default=0.10),
-        Key("tol_radius", "float", default=0.05),
-        Key("heatmap", "bool", default=False),
-    ),
-    "obstacle-shape": _COMMON + (
-        Key("d", "int", required=True),
-        Key("h", "float", required=True),
-        Key("box", "float", required=True),
-        Key("source", "str", required=True),
-        Key("tol_area", "float", default=0.15),
-    ),
-    "density-probe": _COMMON + (
-        Key("d", "int", required=True),
-        Key("n", "int", required=True),
-        Key("density", "float", required=True),
-        Key("trials", "int", default=50),
-        Key("expect", "str", default="auto", choices=("auto", "stabilize", "explode", "none")),
-    ),
-}
+# topple and odometer: one sampled configuration on the torus
+_FIELD_KEYS = _OPERATOR_KEYS + _SIGMA_KEYS + (
+    Key("d", "int", required=True),
+    Key("n", "int", required=True),
+    Key("write_fields", "bool", default=True),
+    Key("heatmap", "bool", default=False),
+)
+
+# kind -> (schema, runner), the only list of kinds; KINDS keeps its order.
+_EXPERIMENTS = {}
+
+
+def _experiment(kind: str, *keys: Key):
+    """Register a runner for kind; its schema is _COMMON plus keys."""
+    def register(runner):
+        _EXPERIMENTS[kind] = (_COMMON + keys, runner)
+        return runner
+    return register
 
 
 def _coerce(key: Key, value):
@@ -331,7 +241,7 @@ def _coerce(key: Key, value):
 
 def validate_manifest(m: Manifest) -> dict:
     """Type-check keys, apply defaults, and enforce cross-key compatibility."""
-    schema = _SCHEMAS[m.kind]
+    schema, _ = _EXPERIMENTS[m.kind]
     by_name = {k.name: k for k in schema}
     unknown = sorted(set(m.values) - set(by_name))
     if unknown:
@@ -395,6 +305,8 @@ def _check_sigma_keys(p: dict):
             raise ManifestError(f"key {key!r} only applies to sigma = {regime}, not {sigma}")
     if sigma == "stable" and not (p.get("stable_alpha") and 0 < p["stable_alpha"] <= 2):
         raise ManifestError("stable noise needs 'stable_alpha' in (0, 2]")
+    if sigma == "stable" and p.get("scale") is not None and p["scale"] <= 0:
+        raise ManifestError("stable noise needs a positive 'scale'")
     if sigma == "pareto" and not (p.get("pareto_index") and p["pareto_index"] > 0):
         raise ManifestError("pareto noise needs a positive 'pareto_index'")
     if sigma == "correlated" and p.get("delta") is None:
@@ -455,6 +367,9 @@ class CriterionResult:
     passed: bool
     detail: str
 
+    def line(self) -> str:
+        return f"criterion {self.name} = {'pass' if self.passed else 'fail'} ({self.detail})"
+
 
 @dataclass(frozen=True)
 class RunRecord:
@@ -469,20 +384,36 @@ class RunRecord:
         return all(c.passed for c in self.criteria)
 
 
-def _write_summary(outdir: Path, sha: str, criteria, outputs) -> Path:
+def _write_outputs(outdir: Path, sha: str, criteria, artifacts: dict):
+    """Write every artifact, in order, then a summary.txt that lists them.
+
+    The file suffix picks the format: ``.csv`` takes a (header, rows) pair,
+    ``.dsf1`` a LatticeField and ``.pgm`` a 2d array.
+    """
+    outdir.mkdir(parents=True, exist_ok=True)
+    for name, payload in artifacts.items():
+        path = outdir / name
+        if path.suffix == ".csv":
+            write_csv(path, *payload)
+        elif path.suffix == ".dsf1":
+            write_field(path, payload)
+        elif path.suffix == ".pgm":
+            path.write_bytes(heatmap_bytes(np.asarray(payload, dtype=np.float64)))
+        else:
+            raise AssertionError(f"no writer for artifact {name!r}")
     lines = [f"manifest-sha256 = {sha}", f"version = {VERSION}"]
-    for c in criteria:
-        lines.append(f"criterion {c.name} = {'pass' if c.passed else 'fail'} ({c.detail})")
-    for name in outputs:
-        lines.append(f"output = {name}")
-    path = outdir / "summary.txt"
-    path.write_bytes(("\n".join(lines) + "\n").encode("ascii"))
-    return path
+    lines += [c.line() for c in criteria]
+    lines += [f"output = {name}" for name in artifacts]
+    (outdir / "summary.txt").write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
 # --- runners -------------------------------------------------------------
+#
+# Each runner returns (criteria, artifacts): artifacts maps file names, in
+# the order summary.txt lists them, to what _write_outputs writes there.
 
-def _run_topple(p, outdir, workers):
+@_experiment("topple", *_FIELD_KEYS)
+def _run_topple(p, workers):
     shape = TorusShape(p["d"], p["n"])
     op = _operator(p, shape)
     sigma = sample_sigma(_sigma_spec(p, shape), shape, p["seed"])
@@ -495,29 +426,26 @@ def _run_topple(p, outdir, workers):
         drift = abs(mass_after - mass_before) / abs(mass_before)
     else:
         drift = 0.0 if mass_after == 0.0 else math.inf
-    outputs = []
-    write_csv(outdir / "topple.csv",
-              ["status", "steps", "max_excess", "total_excess", "mass_before", "mass_after"],
-              [[report.status, report.steps, report.max_excess, report.total_excess,
-                mass_before, mass_after]])
-    outputs.append("topple.csv")
+    artifacts = {"topple.csv": (
+        ["status", "steps", "max_excess", "total_excess", "mass_before", "mass_after"],
+        [[report.status, report.steps, report.max_excess, report.total_excess,
+          mass_before, mass_after]])}
     if p["write_fields"]:
-        write_field(outdir / "odometer.dsf1", final.u)
-        write_field(outdir / "config_final.dsf1", final.s)
-        outputs += ["odometer.dsf1", "config_final.dsf1"]
+        artifacts["odometer.dsf1"] = final.u
+        artifacts["config_final.dsf1"] = final.s
     if p["heatmap"] and shape.d == 2:
-        write_heatmap(outdir / "odometer.pgm", final.u)
-        outputs.append("odometer.pgm")
+        artifacts["odometer.pgm"] = final.u.values
     criteria = [
         CriterionResult("stabilized", report.status == "stabilized",
                         f"status={report.status} steps={report.steps}"),
         CriterionResult("mass-conserved", drift <= 1e-10,
                         f"relative drift={drift:.3e}"),
     ]
-    return criteria, outputs
+    return criteria, artifacts
 
 
-def _run_odometer(p, outdir, workers):
+@_experiment("odometer", *_FIELD_KEYS)
+def _run_odometer(p, workers):
     shape = TorusShape(p["d"], p["n"])
     op = _operator(p, shape)
     sigma = sample_sigma(_sigma_spec(p, shape), shape, p["seed"])
@@ -525,19 +453,15 @@ def _run_odometer(p, outdir, workers):
     u_direct = odometer_spectral(config, op)
     u_obstacle = torus_obstacle_odometer(config, op)
     gap = float(np.max(np.abs(u_direct.values - u_obstacle.values)))
-    outputs = []
-    write_csv(outdir / "odometer.csv",
-              ["max_u", "mean_u", "obstacle_gap"],
-              [[float(u_direct.values.max()), float(u_direct.values.mean()), gap]])
-    outputs.append("odometer.csv")
+    artifacts = {"odometer.csv": (
+        ["max_u", "mean_u", "obstacle_gap"],
+        [[float(u_direct.values.max()), float(u_direct.values.mean()), gap]])}
     if p["write_fields"]:
-        write_field(outdir / "odometer.dsf1", u_direct)
-        outputs.append("odometer.dsf1")
+        artifacts["odometer.dsf1"] = u_direct
     if p["heatmap"] and shape.d == 2:
-        write_heatmap(outdir / "odometer.pgm", u_direct)
-        outputs.append("odometer.pgm")
+        artifacts["odometer.pgm"] = u_direct.values
     criteria = [CriterionResult("obstacle-identity", gap <= 1e-12, f"gap={gap:.3e}")]
-    return criteria, outputs
+    return criteria, artifacts
 
 
 def _variance_mode(p) -> ScalingMode:
@@ -548,15 +472,28 @@ def _variance_mode(p) -> ScalingMode:
     return ScalingMode("nn-ind")
 
 
-def _run_variance(p, outdir, workers):
+def _variance_table(exp):
+    return (["n", "estimate", "stderr", "target", "ratio", "exact_ratio"],
+            [[r.n, r.variance.point, r.variance.stderr, exp.limit, r.ratio, r.exact_ratio]
+             for r in exp.rows])
+
+
+@_experiment("variance",
+             *_OPERATOR_KEYS,
+             _SIGMA,
+             _DELTA,
+             Key("d", "int", required=True),
+             Key("n", "ints", required=True),
+             Key("f", "str", required=True),
+             Key("f2", "str"),
+             Key("samples", "int", required=True),
+             Key("tol_flatness", "float", default=0.15),
+             Key("tol_agreement", "float", default=0.10))
+def _run_variance(p, workers):
     mode = _variance_mode(p)
     f = parse_test_function(p["f"], p["d"])
     exp = run_variance_experiment(mode, f, p["n"], p["samples"], p["seed"], workers=workers)
-    rows = [[r.n, r.variance.point, r.variance.stderr, exp.limit, r.ratio, r.exact_ratio]
-            for r in exp.rows]
-    write_csv(outdir / "variance.csv",
-              ["n", "estimate", "stderr", "target", "ratio", "exact_ratio"], rows)
-    outputs = ["variance.csv"]
+    artifacts = {"variance.csv": _variance_table(exp)}
     flat = exp.ratio_flatness()
     criteria = [CriterionResult("ratio-flat", flat <= p["tol_flatness"],
                                 f"max deviation={flat:.4f} tol={p['tol_flatness']}")]
@@ -567,29 +504,33 @@ def _run_variance(p, outdir, workers):
         r1 = next(r.ratio for r in exp.rows if r.n == n_top)
         r2 = exp2.rows[0].ratio
         gap = abs(r1 - r2) / r1
-        write_csv(outdir / "variance_f2.csv",
-                  ["n", "estimate", "stderr", "target", "ratio", "exact_ratio"],
-                  [[exp2.rows[0].n, exp2.rows[0].variance.point, exp2.rows[0].variance.stderr,
-                    exp2.limit, exp2.rows[0].ratio, exp2.rows[0].exact_ratio]])
-        outputs.append("variance_f2.csv")
+        artifacts["variance_f2.csv"] = _variance_table(exp2)
         criteria.append(CriterionResult("f-agreement", gap <= p["tol_agreement"],
                                         f"relative gap={gap:.4f} tol={p['tol_agreement']}"))
-    return criteria, outputs
+    return criteria, artifacts
 
 
-def _run_charfun(p, outdir, workers):
+@_experiment("charfun",
+             Key("d", "int", required=True),
+             Key("n", "int", required=True),
+             Key("alpha", "float", required=True),
+             Key("f", "str", required=True),
+             Key("samples", "int", required=True),
+             Key("t", "floats", default=(0.5, 1.0, 2.0)),
+             Key("quad_points", "int", default=256),
+             Key("tol_magnitude", "float", default=0.15),
+             Key("tol_doubling", "float", default=0.10))
+def _run_charfun(p, workers):
     shape = TorusShape(p["d"], p["n"])
     f = parse_test_function(p["f"], p["d"])
-    base = run_charfun_experiment(p["alpha"], f, shape, p["samples"], p["seed"],
-                                  ts=p["t"], quad_points=p["quad_points"])
-    doubled = run_charfun_experiment(p["alpha"], f.scaled(2.0), shape, p["samples"], p["seed"],
-                                     ts=p["t"], quad_points=p["quad_points"])
+    base, doubled = run_charfun_experiment(p["alpha"], (f, f.scaled(2.0)), shape, p["samples"],
+                                           p["seed"], ts=p["t"], quad_points=p["quad_points"])
     rows = []
     for r, r2 in zip(base.rows, doubled.rows):
         rows.append([r.t, r.cf_abs, r.stderr, r.measured_exponent, r.exact_exponent,
                      r.target_exponent, r2.measured_exponent])
-    write_csv(outdir / "charfun.csv",
-              ["t", "cf_abs", "stderr", "log_cf", "exact", "target", "log_cf_doubled"], rows)
+    artifacts = {"charfun.csv": (
+        ["t", "cf_abs", "stderr", "log_cf", "exact", "target", "log_cf_doubled"], rows)}
     magnitude_ok = True
     details = []
     for r in base.rows:
@@ -610,16 +551,22 @@ def _run_charfun(p, outdir, workers):
         CriterionResult("cf-magnitude", magnitude_ok, "; ".join(details)),
         CriterionResult("cf-doubling", doubling_ok, doubling_detail),
     ]
-    return criteria, ["charfun.csv"]
+    return criteria, artifacts
 
 
-def _run_mean_odometer(p, outdir, workers):
+@_experiment("mean-odometer",
+             *_OPERATOR_KEYS,
+             Key("d", "int", required=True),
+             Key("n", "ints", required=True),
+             Key("samples", "int", required=True),
+             Key("slope_tol", "float"))
+def _run_mean_odometer(p, workers):
     kind = p["operator"]
     curve = mean_odometer_curve(kind, p["d"], p["n"], p["samples"], p["seed"],
                                 alpha=p.get("alpha"), workers=workers)
     rows = [[r.n, r.value.point, r.value.stderr, pred]
             for r, pred in zip(curve.rows, curve.predicted_values)]
-    write_csv(outdir / "mean_odometer.csv", ["n", "estimate", "stderr", "prediction"], rows)
+    artifacts = {"mean_odometer.csv": (["n", "estimate", "stderr", "prediction"], rows)}
     expected = mean_odometer_exponent(kind, p["d"], p.get("alpha"))
     if expected is None:
         criteria = [CriterionResult("slope", True,
@@ -630,38 +577,57 @@ def _run_mean_odometer(p, outdir, workers):
             tol = 0.1 if (kind == "lr" or p["d"] >= 3) else 0.15
         criteria = [CriterionResult("slope", abs(curve.slope - expected) <= tol,
                                     f"fitted={curve.slope:.4f} expected={expected:g} tol={tol}")]
-    return criteria, ["mean_odometer.csv"]
+    return criteria, artifacts
 
 
-def _run_variance_structure(p, outdir, workers):
+@_experiment("variance-structure",
+             *_OPERATOR_KEYS,
+             Key("d", "int", required=True),
+             Key("n", "int", required=True),
+             Key("r", "ints", required=True),
+             Key("tol", "float", default=0.2))
+def _run_variance_structure(p, workers):
     curve = variance_structure_curve(p["operator"], p["d"], p["n"], p["r"], alpha=p.get("alpha"))
     rows = [[r, v] for r, v in zip(curve.rs, curve.values)]
-    write_csv(outdir / "variance_structure.csv", ["r", "increment_variance"], rows)
+    artifacts = {"variance_structure.csv": (["r", "increment_variance"], rows)}
     gap = abs(curve.slope - curve.target_slope)
     criteria = [CriterionResult("structure-exponent", gap <= p["tol"],
                                 f"fitted={curve.slope:.4f} target={curve.target_slope:.4f} tol={p['tol']}")]
-    return criteria, ["variance_structure.csv"]
+    return criteria, artifacts
 
 
-def _run_kernel_decay(p, outdir, workers):
+@_experiment("kernel-decay",
+             *_OPERATOR_KEYS,
+             Key("d", "int", required=True),
+             Key("n", "int", required=True),
+             Key("r", "ints", required=True),
+             Key("tol", "float", default=0.3))
+def _run_kernel_decay(p, workers):
     result = covariance_decay_slope(p["operator"], p["d"], p["n"], p["r"], alpha=p.get("alpha"))
-    if not result.valid and result.predicted_slope is None:
-        write_csv(outdir / "kernel_decay.csv", ["r", "covariance"], [])
-        criteria = [CriterionResult("decay-regime-flag", True, result.reason)]
-        return criteria, ["kernel_decay.csv"]
+    # below the critical dimension result.values is empty, and so is the table
     rows = [[r, v] for r, v in zip(p["r"], result.values)]
-    write_csv(outdir / "kernel_decay.csv", ["r", "covariance"], rows)
-    if not result.valid:
+    artifacts = {"kernel_decay.csv": (["r", "covariance"], rows)}
+    if not result.valid and result.predicted_slope is None:
+        criteria = [CriterionResult("decay-regime-flag", True, result.reason)]
+    elif not result.valid:
         criteria = [CriterionResult("decay-slope", False, result.reason)]
     else:
         gap = abs(result.slope - result.predicted_slope)
         criteria = [CriterionResult("decay-slope", gap <= p["tol"],
                                     f"fitted={result.slope:.4f} predicted={result.predicted_slope:g} tol={p['tol']}")]
-    return criteria, ["kernel_decay.csv"]
+    return criteria, artifacts
 
 
-def _run_idla(p, outdir, workers):
-    predicted = (p["particles"] / ball_volume_constant(p["d"])) ** (1.0 / p["d"])
+@_experiment("idla",
+             Key("particles", "int", required=True),
+             Key("d", "int", required=True),
+             Key("trials", "int", default=20),
+             Key("box", "int"),
+             Key("tol_deviation", "float", default=0.15),
+             Key("tol_radius", "float", default=0.05),
+             Key("heatmap", "bool", default=False))
+def _run_idla(p, workers):
+    predicted = predicted_radius(p["particles"], p["d"])
 
     def one(i):
         agg = idla_aggregate(p["particles"], p["d"], seed=p["seed"] + i, box_radius=p["box"])
@@ -671,11 +637,9 @@ def _run_idla(p, outdir, workers):
     rows = []
     for i, (m, _) in enumerate(results):
         rows.append([p["seed"] + i, m.volume, m.inradius, m.outradius, m.ball_deviation])
-    write_csv(outdir / "idla.csv", ["seed", "volume", "inradius", "outradius", "deviation"], rows)
-    outputs = ["idla.csv"]
+    artifacts = {"idla.csv": (["seed", "volume", "inradius", "outradius", "deviation"], rows)}
     if p["heatmap"] and p["d"] == 2:
-        occupancy_heatmap(outdir / "idla.pgm", results[0][1].occupied)
-        outputs.append("idla.pgm")
+        artifacts["idla.pgm"] = results[0][1].occupied
     mean_dev = float(np.mean([m.ball_deviation for m, _ in results]))
     mean_radius = float(np.mean([(m.inradius + m.outradius) / 2.0 for m, _ in results]))
     radius_err = abs(mean_radius - predicted) / predicted
@@ -685,53 +649,63 @@ def _run_idla(p, outdir, workers):
         CriterionResult("radius", radius_err <= p["tol_radius"],
                         f"mean radius={mean_radius:.3f} predicted={predicted:.3f} err={radius_err:.4f}"),
     ]
-    return criteria, outputs
+    return criteria, artifacts
 
 
-def _run_rotor(p, outdir, workers):
-    predicted = (p["particles"] / ball_volume_constant(p["d"])) ** (1.0 / p["d"])
+@_experiment("rotor",
+             Key("particles", "int", required=True),
+             Key("d", "int", required=True),
+             Key("box", "int"),
+             Key("tol_deviation", "float", default=0.05),
+             Key("heatmap", "bool", default=False))
+def _run_rotor(p, workers):
+    predicted = predicted_radius(p["particles"], p["d"])
     agg = rotor_router_aggregate(p["particles"], p["d"], box_radius=p["box"])
     m = shape_metrics(agg, predicted)
-    write_csv(outdir / "rotor.csv", ["volume", "inradius", "outradius", "deviation"],
-              [[m.volume, m.inradius, m.outradius, m.ball_deviation]])
-    points_to_csv(outdir / "rotor_points.csv", agg.points())
-    outputs = ["rotor.csv", "rotor_points.csv"]
+    artifacts = {
+        "rotor.csv": (["volume", "inradius", "outradius", "deviation"],
+                      [[m.volume, m.inradius, m.outradius, m.ball_deviation]]),
+        # one occupied lattice site per row, origin-centred
+        "rotor_points.csv": ([f"x{k + 1}" for k in range(agg.d)], agg.points().tolist()),
+    }
     if p["heatmap"] and p["d"] == 2:
-        occupancy_heatmap(outdir / "rotor.pgm", agg.occupied)
-        outputs.append("rotor.pgm")
+        artifacts["rotor.pgm"] = agg.occupied
     criteria = [CriterionResult("ball-deviation", m.ball_deviation <= p["tol_deviation"],
                                 f"deviation={m.ball_deviation:.4f} tol={p['tol_deviation']}")]
-    return criteria, outputs
+    return criteria, artifacts
 
 
-def _run_point_source(p, outdir, workers):
-    predicted = (p["mass"] / ball_volume_constant(p["d"])) ** (1.0 / p["d"])
+@_experiment("point-source",
+             Key("mass", "float", required=True),
+             Key("d", "int", required=True),
+             Key("tau", "float", default=1e-6),
+             Key("box", "int"),
+             Key("tol_deviation", "float", default=0.10),
+             Key("tol_radius", "float", default=0.05),
+             Key("heatmap", "bool", default=False))
+def _run_point_source(p, workers):
+    predicted = predicted_radius(p["mass"], p["d"])
     result = point_source_sandpile(p["mass"], p["d"], box_radius=p["box"], tol=p["tau"])
-    outputs = []
-    if result.aggregate.count == 0:
-        write_csv(outdir / "point_source.csv",
-                  ["volume", "inradius", "outradius", "deviation", "steps"],
-                  [[0, 0.0, 0.0, 0.0, result.steps]])
+    toppled = result.aggregate.count > 0
+    if toppled:
+        m = shape_metrics(result.aggregate, predicted)
+        row = [m.volume, m.inradius, m.outradius, m.ball_deviation, result.steps]
+        radius = (m.inradius + m.outradius) / 2.0
+        radius_err = abs(radius - predicted) / predicted
+        criteria = [
+            CriterionResult("ball-deviation", m.ball_deviation <= p["tol_deviation"],
+                            f"deviation={m.ball_deviation:.4f} tol={p['tol_deviation']}"),
+            CriterionResult("radius", radius_err <= p["tol_radius"],
+                            f"radius={radius:.3f} predicted={predicted:.3f} err={radius_err:.4f}"),
+        ]
+    else:
+        row = [0, 0.0, 0.0, 0.0, result.steps]
         criteria = [CriterionResult("ball-deviation", p["mass"] <= 1.0,
                                     "no site toppled; mass fits in one cell")]
-        return criteria, ["point_source.csv"]
-    m = shape_metrics(result.aggregate, predicted)
-    write_csv(outdir / "point_source.csv",
-              ["volume", "inradius", "outradius", "deviation", "steps"],
-              [[m.volume, m.inradius, m.outradius, m.ball_deviation, result.steps]])
-    outputs.append("point_source.csv")
-    if p["heatmap"] and p["d"] == 2:
-        (outdir / "point_source.pgm").write_bytes(heatmap_bytes(result.odometer))
-        outputs.append("point_source.pgm")
-    radius = (m.inradius + m.outradius) / 2.0
-    radius_err = abs(radius - predicted) / predicted
-    criteria = [
-        CriterionResult("ball-deviation", m.ball_deviation <= p["tol_deviation"],
-                        f"deviation={m.ball_deviation:.4f} tol={p['tol_deviation']}"),
-        CriterionResult("radius", radius_err <= p["tol_radius"],
-                        f"radius={radius:.3f} predicted={predicted:.3f} err={radius_err:.4f}"),
-    ]
-    return criteria, outputs
+    artifacts = {"point_source.csv": (["volume", "inradius", "outradius", "deviation", "steps"], [row])}
+    if toppled and p["heatmap"] and p["d"] == 2:
+        artifacts["point_source.pgm"] = result.odometer
+    return criteria, artifacts
 
 
 def _parse_obstacle_source(text: str):
@@ -745,7 +719,13 @@ def _parse_obstacle_source(text: str):
     )
 
 
-def _run_obstacle_shape(p, outdir, workers):
+@_experiment("obstacle-shape",
+             Key("d", "int", required=True),
+             Key("h", "float", required=True),
+             Key("box", "float", required=True),
+             Key("source", "str", required=True),
+             Key("tol_area", "float", default=0.15))
+def _run_obstacle_shape(p, workers):
     source_spec = _parse_obstacle_source(p["source"])
     h = p["h"]
     d = p["d"]
@@ -775,23 +755,28 @@ def _run_obstacle_shape(p, outdir, workers):
             continue  # only symmetries that fix the source constrain the shape
         if not np.array_equal(_apply_symmetry(sol.occupied, perm, signs), sol.occupied):
             symmetric = False
-    write_csv(outdir / "obstacle.csv",
-              ["area", "target_area", "iterations", "residual"],
-              [[area, target_area, sol.iterations, sol.residual]])
+    artifacts = {"obstacle.csv": (["area", "target_area", "iterations", "residual"],
+                                  [[area, target_area, sol.iterations, sol.residual]])}
     criteria = [
         CriterionResult("area", area_err <= p["tol_area"],
                         f"area={area:.4f} target={target_area:.4f} err={area_err:.4f}"),
         CriterionResult("symmetry", symmetric, "occupied set equals all its lattice-symmetry images"),
     ]
-    return criteria, ["obstacle.csv"]
+    return criteria, artifacts
 
 
-def _run_density_probe(p, outdir, workers):
+@_experiment("density-probe",
+             Key("d", "int", required=True),
+             Key("n", "int", required=True),
+             Key("density", "float", required=True),
+             Key("trials", "int", default=50),
+             Key("expect", "str", default="auto", choices=("auto", "stabilize", "explode", "none")))
+def _run_density_probe(p, workers):
     shape = TorusShape(p["d"], p["n"])
     result = density_probe(p["density"], shape, trials=p["trials"], seed=p["seed"])
-    write_csv(outdir / "density_probe.csv",
-              ["density", "trials", "fraction_stabilized", "mean_odometer"],
-              [[result.density, result.trials, result.fraction_stabilized, result.mean_odometer]])
+    artifacts = {"density_probe.csv": (
+        ["density", "trials", "fraction_stabilized", "mean_odometer"],
+        [[result.density, result.trials, result.fraction_stabilized, result.mean_odometer]])}
     expect = p["expect"]
     if expect == "auto":
         expect = "stabilize" if p["density"] < 1.0 else ("explode" if p["density"] > 1.0 else "none")
@@ -804,36 +789,23 @@ def _run_density_probe(p, outdir, workers):
     else:
         ok = True
         detail = f"stabilized fraction={result.fraction_stabilized:g} (no expectation)"
-    return [CriterionResult("dichotomy", ok, detail)], ["density_probe.csv"]
+    return [CriterionResult("dichotomy", ok, detail)], artifacts
 
 
-_RUNNERS = {
-    "topple": _run_topple,
-    "odometer": _run_odometer,
-    "variance": _run_variance,
-    "charfun": _run_charfun,
-    "mean-odometer": _run_mean_odometer,
-    "variance-structure": _run_variance_structure,
-    "kernel-decay": _run_kernel_decay,
-    "idla": _run_idla,
-    "rotor": _run_rotor,
-    "point-source": _run_point_source,
-    "obstacle-shape": _run_obstacle_shape,
-    "density-probe": _run_density_probe,
-}
+KINDS = tuple(_EXPERIMENTS)
 
 
 def run(manifest: Manifest, outdir=None, workers: int = 1) -> RunRecord:
-    """Execute a validated manifest and write its outputs."""
+    """Execute a validated manifest, then write its artifacts and summary."""
     params = validate_manifest(manifest)
     out = Path(outdir if outdir is not None else params["out"])
-    out.mkdir(parents=True, exist_ok=True)
     sha = manifest_hash(manifest)
     started = time.monotonic()
-    criteria, outputs = _RUNNERS[manifest.kind](params, out, workers)
-    _write_summary(out, sha, criteria, outputs)
+    _, runner = _EXPERIMENTS[manifest.kind]
+    criteria, artifacts = runner(params, workers)
+    _write_outputs(out, sha, criteria, artifacts)
     wall = time.monotonic() - started
-    return RunRecord(sha, VERSION, wall, tuple(outputs) + ("summary.txt",), tuple(criteria))
+    return RunRecord(sha, VERSION, wall, tuple(artifacts) + ("summary.txt",), tuple(criteria))
 
 
 # --- entry point ---------------------------------------------------------
@@ -908,7 +880,7 @@ def main(argv=None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     for c in record.criteria:
-        print(f"criterion {c.name} = {'pass' if c.passed else 'fail'} ({c.detail})")
+        print(c.line())
     print(f"manifest-sha256 = {record.manifest_sha}")
     print(f"wall-seconds = {record.wall_seconds:.3f}")
     return 0 if record.ok else 2

@@ -62,14 +62,6 @@ def write_csv(path, header: list[str], rows: list[list]):
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 
-def points_to_csv(path, points: np.ndarray):
-    """Aggregate point list, one lattice site per row."""
-    d = points.shape[1] if points.ndim == 2 else 1
-    header = [f"x{k + 1}" for k in range(d)]
-    rows = [[int(c) for c in row] for row in np.atleast_2d(points)]
-    write_csv(path, header, rows)
-
-
 def heatmap_bytes(values: np.ndarray) -> bytes:
     """Render a 2d array as an 8-bit PGM image, min to 0 and max to 255.
 
@@ -91,7 +83,3 @@ def write_heatmap(path, field: LatticeField):
     if field.shape.d != 2:
         raise ValueError(f"heatmaps need d=2, got d={field.shape.d}")
     Path(path).write_bytes(heatmap_bytes(field.values))
-
-
-def occupancy_heatmap(path, occupied: np.ndarray):
-    Path(path).write_bytes(heatmap_bytes(occupied.astype(np.float64)))

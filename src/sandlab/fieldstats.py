@@ -202,7 +202,7 @@ def run_variance_experiment(
         op, spec, khat_lattice, _, _ = _mode_setup(mode, shape)
         a = scaling_constant(mode, shape)
         k = pairing_vector(op, f).ravel()
-        xs = _pairing_samples(spec, shape, seed, samples, k) * a
+        xs = _pairing_samples(spec, shape, seed, samples, [k])[0] * a
         var = float(np.var(xs, ddof=1))
         se = var * math.sqrt(2.0 / (samples - 1))
         exact = a * a * exact_pairing_variance(op, f, khat_lattice)
@@ -214,17 +214,21 @@ def run_variance_experiment(
     return VarianceExperiment(mode, limit, tuple(rows))
 
 
-def _pairing_samples(spec: SigmaSpec, shape: TorusShape, seed: int, samples: int, k: np.ndarray) -> np.ndarray:
-    out = np.empty(samples)
+def _pairing_samples(
+    spec: SigmaSpec, shape: TorusShape, seed: int, samples: int, ks: list[np.ndarray]
+) -> list[np.ndarray]:
+    """Samples of <sigma, k> for each pairing vector k, from one pass over the chunks."""
+    outs = [np.empty(samples) for _ in ks]
     done = 0
     chunk_index = 0
     while done < samples:
         block = sigma_chunk(spec, shape, seed, chunk_index)
         take = min(samples - done, block.shape[0])
-        out[done : done + take] = block[:take].reshape(take, -1) @ k
+        for out, k in zip(outs, ks):
+            out[done : done + take] = block[:take].reshape(take, -1) @ k
         done += take
         chunk_index += 1
-    return out
+    return outs
 
 
 @dataclass(frozen=True)
@@ -290,46 +294,52 @@ def charfun_continuum_integral(f: TestFunction, alpha: float, quad_points: int =
 
 def run_charfun_experiment(
     alpha: float,
-    f: TestFunction,
+    fs: tuple[TestFunction, ...],
     shape: TorusShape,
     samples: int,
     seed: int = 0,
     ts=(0.5, 1.0, 2.0),
     quad_points: int = 256,
     scale: float = 1.0,
-) -> CharfunExperiment:
+) -> tuple[CharfunExperiment, ...]:
     """Empirical characteristic function of the rescaled stable pairing.
 
     For exactly stable noise the pairing is itself stable, so the finite-size
     characteristic exponent is the exact sum |a_n k(x)|^alpha and the limit
-    target is the continuum integral times the generator calibration.
+    target is the continuum integral times the generator calibration.  Every
+    test function in fs pairs with the same noise samples; one experiment
+    comes back per function.
     """
     mode = ScalingMode("stable", alpha=alpha)
     op = OperatorSpec.nearest_neighbour(shape)
     a = scaling_constant(mode, shape)
-    k = pairing_vector(op, f).ravel()
-    xs = _pairing_samples(SigmaSpec.stable(alpha, scale), shape, seed, samples, k) * a
-    exact_scale = float(np.sum(np.abs(k * a) ** alpha)) * scale**alpha
-    cont = charfun_continuum_integral(f, alpha, quad_points)
+    ks = [pairing_vector(op, f).ravel() for f in fs]
+    pairings = _pairing_samples(SigmaSpec.stable(alpha, scale), shape, seed, samples, ks)
     calibration = (2.0 * shape.d) ** alpha * scale**alpha
-    rows = []
-    for t in ts:
-        z = np.exp(1j * t * xs)
-        cf = complex(z.mean())
-        cf_abs = abs(cf)
-        se_cf = math.sqrt(max(1.0 - cf_abs**2, 0.0) / (2.0 * samples)) + 1e-300
-        measured = -math.log(max(cf_abs, 1e-300))
-        rows.append(
-            CharfunRow(
-                float(t),
-                cf_abs,
-                se_cf,
-                measured,
-                exact_scale * abs(t) ** alpha,
-                calibration * cont * abs(t) ** alpha,
+    experiments = []
+    for f, k, xs in zip(fs, ks, pairings):
+        xs = xs * a
+        exact_scale = float(np.sum(np.abs(k * a) ** alpha)) * scale**alpha
+        cont = charfun_continuum_integral(f, alpha, quad_points)
+        rows = []
+        for t in ts:
+            z = np.exp(1j * t * xs)
+            cf = complex(z.mean())
+            cf_abs = abs(cf)
+            se_cf = math.sqrt(max(1.0 - cf_abs**2, 0.0) / (2.0 * samples)) + 1e-300
+            measured = -math.log(max(cf_abs, 1e-300))
+            rows.append(
+                CharfunRow(
+                    float(t),
+                    cf_abs,
+                    se_cf,
+                    measured,
+                    exact_scale * abs(t) ** alpha,
+                    calibration * cont * abs(t) ** alpha,
+                )
             )
-        )
-    return CharfunExperiment(alpha, exact_scale, cont, calibration, tuple(rows))
+        experiments.append(CharfunExperiment(alpha, exact_scale, cont, calibration, tuple(rows)))
+    return tuple(experiments)
 
 
 @dataclass(frozen=True)

@@ -29,10 +29,14 @@ def ball_volume_constant(d: int) -> float:
     return math.pi ** (d / 2.0) / math.gamma(d / 2.0 + 1.0)
 
 
+def predicted_radius(count: float, d: int) -> float:
+    """Radius of the Euclidean ball of volume count: the limit shape's radius."""
+    return (count / ball_volume_constant(d)) ** (1.0 / d)
+
+
 def default_box_radius(count: float, d: int) -> int:
     """Twice the predicted aggregate radius, plus a small absolute margin."""
-    predicted = (count / ball_volume_constant(d)) ** (1.0 / d)
-    return int(math.ceil(2.0 * predicted)) + 2
+    return int(math.ceil(2.0 * predicted_radius(count, d))) + 2
 
 
 @dataclass(frozen=True)

@@ -277,12 +277,11 @@ def test_criterion_12_cauchy_characteristic_function_scale():
     t0 = time.time()
     f = Wave.cosine((1, 0))
     shape = TorusShape(2, 64)
-    exp = run_charfun_experiment(1.0, f, shape, 10**4, seed=3)
+    exp, doubled = run_charfun_experiment(1.0, (f, f.scaled(2.0)), shape, 10**4, seed=3)
     for r in exp.rows:
         se_log = r.stderr / r.cf_abs
         err = abs(r.measured_exponent - r.target_exponent)
         assert err <= 0.15 * r.target_exponent + 3.0 * se_log
-    doubled = run_charfun_experiment(1.0, f.scaled(2.0), shape, 10**4, seed=3)
     ratio = doubled.fitted_scale() / exp.fitted_scale()
     assert abs(ratio - 2.0) <= 0.10 * 2.0
     elapsed = time.time() - t0

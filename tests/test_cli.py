@@ -81,6 +81,10 @@ def test_validate_cross_key_rules():
         ("kind = charfun\nn = 8\nd = 2\nalpha = 2.5\nf = cos 1 0\nsamples = 10\n", r"alpha in \(0, 2\)"),
         ("kind = topple\nn = 8\nd = 2\nsigma = correlated\n", "delta"),
         ("kind = topple\nn = 8\nd = 2\nsigma = stable\n", "stable_alpha"),
+        ("kind = topple\nn = 8\nd = 2\nsigma = stable\nstable_alpha = 1.5\nscale = -1.0\n",
+         "positive 'scale'"),
+        ("kind = odometer\nn = 8\nd = 2\nsigma = stable\nstable_alpha = 1.5\nscale = 0\n",
+         "positive 'scale'"),
         # noise parameters apply to their own sigma regime only
         ("kind = topple\nn = 8\nd = 2\ndelta = 3.0\npareto_index = 2.0\n", "only applies to sigma"),
         ("kind = topple\nn = 8\nd = 2\ndelta = 3.0\n", "'delta' only applies to sigma = correlated"),
@@ -165,6 +169,35 @@ def test_run_exit_one_on_runner_exception(tmp_path, monkeypatch, capsys):
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "box" in err
     assert "Traceback" not in err
+    assert not Path("outb").exists()  # nothing is written before the experiment finishes
+
+
+# One tiny manifest per kind; heatmaps are on wherever the kind has them.
+TINY_RUNS = {
+    "topple": "kind = topple\nd = 2\nn = 8\nheatmap = true\n",
+    "odometer": "kind = odometer\nd = 2\nn = 16\noperator = lr\nalpha = 1.0\nheatmap = true\n",
+    "variance": "kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nf2 = sin 1 1\nsamples = 200\n",
+    "charfun": "kind = charfun\nd = 2\nn = 16\nalpha = 1.0\nf = cos 1 0\nsamples = 500\n",
+    "mean-odometer": "kind = mean-odometer\nd = 2\nn = 8, 16\nsamples = 10\n",
+    "variance-structure": "kind = variance-structure\nd = 2\nn = 16\nr = 1, 2\n",
+    "kernel-decay": "kind = kernel-decay\nd = 3\nn = 8\noperator = lr\nalpha = 1.0\nr = 1, 2\n",
+    "idla": "kind = idla\nparticles = 200\nd = 2\ntrials = 2\nheatmap = true\n",
+    "rotor": "kind = rotor\nparticles = 200\nd = 2\nheatmap = true\n",
+    "point-source": "kind = point-source\nmass = 200\nd = 2\nheatmap = true\n",
+    "obstacle-shape": "kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = ball 0.5 4.0\n",
+    "density-probe": "kind = density-probe\nd = 2\nn = 8\ndensity = 1.0\ntrials = 20\nexpect = none\n",
+}
+
+
+@pytest.mark.parametrize("kind", cli.KINDS)
+def test_summary_lists_exactly_the_written_files(tmp_path, kind):
+    out = tmp_path / "out"
+    record = cli.run(parse_manifest(TINY_RUNS[kind]), out)
+    summary = (out / "summary.txt").read_text().splitlines()
+    listed = [line.split(" = ", 1)[1] for line in summary if line.startswith("output = ")]
+    assert record.outputs == tuple(listed) + ("summary.txt",)
+    assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "summary.txt")
+    assert any(name.endswith(".pgm") for name in listed) == ("heatmap = true" in TINY_RUNS[kind])
 
 
 def test_stable_scale_reaches_the_sampler(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from sandlab.fieldio import (
     MAGIC,
     format_float,
     heatmap_bytes,
-    occupancy_heatmap,
     read_field,
     write_csv,
     write_field,
@@ -96,12 +95,10 @@ def test_write_heatmap_requires_two_dimensions(tmp_path):
         write_heatmap(tmp_path / "x.pgm", f)
 
 
-def test_occupancy_heatmap_binary_levels(tmp_path):
+def test_occupancy_heatmap_binary_levels():
     occ = np.zeros((4, 4), dtype=bool)
     occ[1:3, 1:3] = True
-    p = tmp_path / "occ.pgm"
-    occupancy_heatmap(p, occ)
-    raw = p.read_bytes()
+    raw = heatmap_bytes(occ.astype(np.float64))
     pix = raw[len(b"P5\n4 4\n255\n") :]
     vals = set(pix)
     assert vals == {0, 255}

@@ -141,9 +141,8 @@ def test_gaussian_calibration_constant():
 def test_charfun_experiment_small_case():
     f = Wave.cosine((1, 0))
     shape = TorusShape(2, 16)
-    exp = run_charfun_experiment(1.0, f, shape, 2000, seed=3)
+    exp, doubled = run_charfun_experiment(1.0, (f, f.scaled(2.0)), shape, 2000, seed=3)
     # scale linearity under f -> 2f is exact in the deterministic scale
-    doubled = run_charfun_experiment(1.0, f.scaled(2.0), shape, 2000, seed=3)
     assert doubled.exact_scale == pytest.approx(2.0 * exp.exact_scale, rel=1e-12)
     # measured decay tracks the exact lattice exponent where signal exists
     first = exp.rows[0]
