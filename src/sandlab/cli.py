@@ -55,7 +55,7 @@ from .growth import (
     shape_metrics,
 )
 from .lattice import TorusShape
-from .odometer import odometer_spectral, torus_obstacle_odometer
+from .odometer import odometer_routes
 from .operators import OperatorSpec, power_law_multiplier
 from .sampling import SigmaSpec, make_initial_config, sample_sigma
 from .testfun import TestFunction
@@ -283,10 +283,25 @@ def _cross_validate(p: dict):
         raise ManifestError("the mean-odometer curve needs at least two sizes")
     if kind in ("variance-structure", "kernel-decay") and len(p["r"]) < 2:
         raise ManifestError("need at least two separations to fit a slope")
+    if p.get("d") is not None and p["d"] < 1:
+        raise ManifestError("'d' must be at least 1")
     if kind == "obstacle-shape":
-        _parse_obstacle_source(p["source"])  # raises on malformed text
-    if kind == "density-probe" and p["trials"] < 1:
-        raise ManifestError("density-probe needs at least one trial")
+        if p["h"] <= 0:
+            raise ManifestError("obstacle-shape needs a positive grid spacing 'h'")
+        source = _parse_obstacle_source(p["source"])  # raises on malformed text
+        if any(v <= 0 for v in source[1:]):
+            raise ManifestError("obstacle source mass, radius and height must be positive")
+    if kind in ("density-probe", "idla") and p["trials"] < 1:
+        raise ManifestError(f"{kind} needs at least one trial")
+    if kind in ("idla", "rotor") and p["particles"] < 1:
+        raise ManifestError("'particles' must be at least 1")
+    if kind in ("idla", "rotor", "point-source") and p["box"] is not None and p["box"] < 1:
+        raise ManifestError("'box' must be at least 1")
+    if kind == "point-source":
+        if p["mass"] < 0:
+            raise ManifestError("'mass' must be nonnegative")
+        if p["tau"] < 0:
+            raise ManifestError("'tau' must be nonnegative")
 
 
 # Each noise parameter key and the one sigma regime that reads it.
@@ -450,8 +465,7 @@ def _run_odometer(p, workers):
     op = _operator(p, shape)
     sigma = sample_sigma(_sigma_spec(p, shape), shape, p["seed"])
     config = make_initial_config(sigma)
-    u_direct = odometer_spectral(config, op)
-    u_obstacle = torus_obstacle_odometer(config, op)
+    u_direct, u_obstacle = odometer_routes(config, op)
     gap = float(np.max(np.abs(u_direct.values - u_obstacle.values)))
     artifacts = {"odometer.csv": (
         ["max_u", "mean_u", "obstacle_gap"],

@@ -14,6 +14,7 @@ relaxation, and the non-coincidence set {v > gamma} is the predicted shape.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 from dataclasses import dataclass
@@ -83,27 +84,58 @@ def _flat_offsets(d: int, side: int) -> np.ndarray:
     return _direction_table(d) @ strides
 
 
+def _outer_ring(side: int, d: int) -> np.ndarray:
+    """Boolean mask of the cells of the (side,)*d cube that lie on its faces."""
+    ring = np.zeros((side,) * d, dtype=bool)
+    for axis in range(d):
+        idx = [slice(None)] * d
+        idx[axis] = 0
+        ring[tuple(idx)] = True
+        idx[axis] = -1
+        ring[tuple(idx)] = True
+    return ring
+
+
 class BoundaryTouchError(RuntimeError):
     """The aggregate reached the box edge; rerun with a larger box radius."""
 
 
-def _settle(occupied_flat: np.ndarray, flat_index: int, radius: int, d: int, side: int):
-    occupied_flat[flat_index] = True
-    coords = np.array(np.unravel_index(flat_index, (side,) * d)) - radius
-    if np.max(np.abs(coords)) >= radius:
-        raise BoundaryTouchError(
-            f"aggregate reached the box edge at {tuple(int(c) for c in coords)}; "
-            f"increase the box radius beyond {radius}"
-        )
+def _edge_touch(flat_index: int, radius: int, d: int) -> BoundaryTouchError:
+    coords = np.array(np.unravel_index(flat_index, (2 * radius + 1,) * d)) - radius
+    return BoundaryTouchError(
+        f"aggregate reached the box edge at {tuple(int(c) for c in coords)}; "
+        f"increase the box radius beyond {radius}"
+    )
+
+
+# An IDLA walker's steps are drawn in batches of 16, 32, ..., 1024 and then
+# 1024 at a time; these are the batch ends up to the first 1024-batch.
+_IDLA_BATCH_ENDS = (16, 48, 112, 240, 496, 1008, 2032)
+_IDLA_BATCH = 1024
+_IDLA_BLOCK = 16384
+
+
+def _idla_batch_end(f: int) -> int:
+    """Number of draws a walker consumes when it settles at its draw f."""
+    if f < _IDLA_BATCH_ENDS[-1]:
+        return _IDLA_BATCH_ENDS[bisect.bisect_right(_IDLA_BATCH_ENDS, f)]
+    return _IDLA_BATCH_ENDS[-1] + _IDLA_BATCH * ((f - _IDLA_BATCH_ENDS[-1]) // _IDLA_BATCH + 1)
 
 
 def idla_aggregate(particles: int, d: int, seed: int = 0, box_radius: int | None = None) -> AggregateSet:
     """Internal DLA: each particle walks from the origin to the first free site.
 
-    Deterministic given the seed.  Walk steps are drawn in growing batches and
-    scanned for the first unoccupied position, which keeps the per-particle
-    bookkeeping small; a walker can never stray more than one step outside the
-    current aggregate because it settles the moment it leaves it.
+    Deterministic given the seed, and the draw stream is part of that
+    contract.  A walker that starts on the occupied origin consumes its steps
+    from one stream of uniform directions in batches of 16, 32, 64, ..., 1024
+    draws, then 1024 at a time, and settles at the first unoccupied site of
+    its trail; the unused tail of the batch in which it settles is discarded,
+    and the next walker starts at the following batch.  The stream is drawn
+    from the generator in larger blocks and each walker's trail is scanned
+    over a look-ahead of several batches at once; neither changes which
+    draws a walker sees, so aggregates stay byte-stable.  A walker can never
+    stray more than one step outside the current aggregate because it
+    settles the moment it leaves it.
     """
     if particles < 1:
         raise ValueError("need at least one particle")
@@ -111,27 +143,38 @@ def idla_aggregate(particles: int, d: int, seed: int = 0, box_radius: int | None
     side = 2 * radius + 1
     occupied = np.zeros((side,) * d, dtype=bool)
     flat = occupied.ravel()
+    edge = _outer_ring(side, d).ravel()
     offsets = _flat_offsets(d, side)
-    origin_flat = (side ** np.arange(d - 1, -1, -1) * radius).sum()
+    origin = int((side ** np.arange(d - 1, -1, -1) * radius).sum())
     rng = generator(seed, 11)
+    stream = np.empty(0, dtype=np.int64)  # flat step offsets, next unread at `head`
+    head = 0
     for _ in range(particles):
-        pos = int(origin_flat)
-        if not flat[pos]:
-            _settle(flat, pos, radius, d, side)
-            continue
-        batch = 16
-        while True:
-            steps = offsets[rng.integers(0, 2 * d, size=batch)]
-            trail = pos + np.cumsum(steps)
+        pos = origin
+        used = 0  # draws this walker has scanned so far
+        while flat[pos]:
+            ahead = _IDLA_BATCH_ENDS[-1] if used == 0 else _IDLA_BATCH
+            if head + ahead > stream.size:
+                fresh = offsets[rng.integers(0, 2 * d, size=_IDLA_BLOCK)]
+                stream = np.concatenate((stream[head:], fresh))
+                head = 0
+            trail = stream[head : head + ahead].cumsum()
+            trail += pos
             # Trail entries before the first free site are valid interior
             # indices (the walker is inside the settled cluster until then);
             # later entries are unused, so clamp them instead of indexing out.
-            free = ~flat[np.clip(trail, 0, flat.size - 1)]
-            if free.any():
-                _settle(flat, int(trail[int(np.argmax(free))]), radius, d, side)
-                break
-            pos = int(trail[-1])
-            batch = min(2 * batch, 1024)
+            seen = flat.take(trail, mode="clip")
+            k = int(seen.argmin())
+            if seen[k]:
+                pos = int(trail[-1])
+                used += ahead
+                head += ahead
+            else:
+                pos = int(trail[k])
+                head += _idla_batch_end(used + k) - used
+        flat[pos] = True
+        if edge[pos]:
+            raise _edge_touch(pos, radius, d)
     return AggregateSet(d, radius, occupied)
 
 
@@ -154,20 +197,24 @@ def rotor_router_aggregate(
         raise ValueError("initial rotor direction out of range")
     radius = default_box_radius(particles, d) if box_radius is None else int(box_radius)
     side = 2 * radius + 1
-    occupied = np.zeros((side,) * d, dtype=bool)
-    flat = occupied.ravel()
-    rotors = np.full(side**d, initial_direction, dtype=np.int8)
-    offsets = [int(o) for o in _flat_offsets(d, side)]
-    origin_flat = int((side ** np.arange(d - 1, -1, -1) * radius).sum())
     n_dirs = 2 * d
+    edge = _outer_ring(side, d).ravel().tobytes()
+    occupied = bytearray(side**d)
+    rotors = bytearray([initial_direction]) * side**d
+    turn = bytes((r + 1) % n_dirs for r in range(n_dirs))
+    offsets = [int(o) for o in _flat_offsets(d, side)]
+    origin = int((side ** np.arange(d - 1, -1, -1) * radius).sum())
     for _ in range(particles):
-        pos = origin_flat
-        while flat[pos]:
+        pos = origin
+        while occupied[pos]:
             r = rotors[pos]
-            rotors[pos] = (r + 1) % n_dirs
+            rotors[pos] = turn[r]
             pos += offsets[r]
-        _settle(flat, pos, radius, d, side)
-    return AggregateSet(d, radius, occupied)
+        occupied[pos] = 1
+        if edge[pos]:
+            raise _edge_touch(pos, radius, d)
+    grid = np.frombuffer(occupied, dtype=np.uint8).reshape((side,) * d)
+    return AggregateSet(d, radius, grid.astype(bool))
 
 
 @dataclass(frozen=True)
@@ -176,6 +223,36 @@ class PointSourceResult:
     final: np.ndarray
     odometer: np.ndarray
     steps: int
+
+
+class _Window:
+    """Contiguous working copies of the centred window of s and u.
+
+    Holds the excess and emitted-share buffers, the window's outer ring as an
+    index tuple and the stencil's (destination, source) view pairs in the
+    order axis 0 up, axis 0 down, axis 1 up, ...  Built once per window size.
+    """
+
+    def __init__(self, s: np.ndarray, u: np.ndarray, radius: int, window: int):
+        d = s.ndim
+        self.sl = tuple(slice(radius - window, radius + window + 1) for _ in range(d))
+        self.s = s[self.sl].copy()
+        self.u = u[self.sl].copy()
+        self.excess = np.empty_like(self.s)
+        self.shed = np.empty_like(self.s)
+        self.ring = np.nonzero(_outer_ring(self.s.shape[0], d))
+        self.stencil = []
+        for axis in range(d):
+            lo = [slice(None)] * d
+            hi = [slice(None)] * d
+            lo[axis] = slice(0, -1)
+            hi[axis] = slice(1, None)
+            self.stencil.append((self.s[tuple(hi)], self.shed[tuple(lo)]))
+            self.stencil.append((self.s[tuple(lo)], self.shed[tuple(hi)]))
+
+    def store(self, s: np.ndarray, u: np.ndarray):
+        s[self.sl] = self.s
+        u[self.sl] = self.u
 
 
 def point_source_sandpile(
@@ -193,6 +270,11 @@ def point_source_sandpile(
     certifies that nothing outside it has ever toppled) until the largest
     excess falls to tol.  Mass is conserved to the last bit: window-edge sites
     are never allowed to emit, they just trigger window growth.
+
+    The steps run on contiguous copies of the window, rebuilt only when it
+    grows; every site receives its neighbours' shares in the fixed order
+    axis 0 up, axis 0 down, axis 1 up, ..., so the result is reproducible to
+    the bit.
     """
     if mass < 0:
         raise ValueError("mass must be nonnegative")
@@ -203,61 +285,37 @@ def point_source_sandpile(
     s[(radius,) * d] = mass
     share = 1.0 / (2 * d)
     window = 1
+    w = _Window(s, u, radius, window)
     steps = 0
     while True:
-        sl = tuple(slice(radius - window, radius + window + 1) for _ in range(d))
-        win = s[sl]
-        excess = np.maximum(win - 1.0, 0.0)
+        excess = w.excess
+        np.subtract(w.s, 1.0, out=excess)
+        np.maximum(excess, 0.0, out=excess)
         if float(excess.max()) <= tol:
             break
-        if _ring_active(excess, tol):
+        if float(excess[w.ring].max()) > tol:
             if window >= radius:
                 raise BoundaryTouchError(
                     f"excess reached the box edge; increase the box radius beyond {radius}"
                 )
+            w.store(s, u)
             window += 1
+            w = _Window(s, u, radius, window)
             continue
-        _zero_ring(excess)
-        win -= excess
-        for axis in range(d):
-            src_lo = [slice(None)] * d
-            src_hi = [slice(None)] * d
-            dst_lo = [slice(None)] * d
-            dst_hi = [slice(None)] * d
-            src_lo[axis] = slice(0, -1)
-            dst_lo[axis] = slice(1, None)
-            src_hi[axis] = slice(1, None)
-            dst_hi[axis] = slice(0, -1)
-            win[tuple(dst_lo)] += share * excess[tuple(src_lo)]
-            win[tuple(dst_hi)] += share * excess[tuple(src_hi)]
-        u[sl] += excess
+        excess[w.ring] = 0.0
+        w.s -= excess
+        np.multiply(excess, share, out=w.shed)
+        for dst, src in w.stencil:
+            dst += src
+        w.u += excess
         steps += 1
         if steps > step_limit:
             raise RuntimeError(
                 f"parallel toppling did not settle in {step_limit} steps; max excess {excess.max():.3e}"
             )
+    w.store(s, u)
     occupied = u > 0.0
     return PointSourceResult(AggregateSet(d, radius, occupied), s, u, steps)
-
-
-def _ring_active(excess: np.ndarray, tol: float) -> bool:
-    d = excess.ndim
-    for axis in range(d):
-        for edge in (0, -1):
-            idx = [slice(None)] * d
-            idx[axis] = edge
-            if float(excess[tuple(idx)].max(initial=0.0)) > tol:
-                return True
-    return False
-
-
-def _zero_ring(excess: np.ndarray):
-    d = excess.ndim
-    for axis in range(d):
-        for edge in (0, -1):
-            idx = [slice(None)] * d
-            idx[axis] = edge
-            excess[tuple(idx)] = 0.0
 
 
 @dataclass(frozen=True)
@@ -413,29 +471,35 @@ def continuum_obstacle_solve(
 
     stop = 1e-10 * float(np.max(np.abs(gamma)))
     v = np.full_like(gamma, float(gamma.max()))
-    boundary_mask = np.zeros_like(gamma, dtype=bool)
-    for k in range(d):
-        idx = [slice(None)] * d
-        idx[k] = 0
-        boundary_mask[tuple(idx)] = True
-        idx[k] = -1
-        boundary_mask[tuple(idx)] = True
+    boundary_mask = _outer_ring(side, d)
     v[boundary_mask] = gamma[boundary_mask]
     interior = tuple(slice(1, -1) for _ in range(d))
     share = 1.0 / (2 * d)
+    # Sweep buffers and the shifted interior views of v, built once.  The
+    # neighbour sum stays grouped by axis, (lo_0 + hi_0) + (lo_1 + hi_1) + ...
+    v_inner = v[interior]
+    gamma_inner = gamma[interior].copy()
+    shifted = []
+    for k in range(d):
+        lo = [slice(1, -1)] * d
+        hi = [slice(1, -1)] * d
+        lo[k] = slice(0, -2)
+        hi[k] = slice(2, None)
+        shifted.append((v[tuple(lo)], v[tuple(hi)]))
+    avg = np.empty_like(gamma_inner)
+    pair = np.empty_like(gamma_inner)
+    candidate = np.empty_like(gamma_inner)
     residual = math.inf
     for it in range(1, iteration_limit + 1):
-        avg = None
-        for k in range(d):
-            lo = [slice(1, -1)] * d
-            hi = [slice(1, -1)] * d
-            lo[k] = slice(0, -2)
-            hi[k] = slice(2, None)
-            pair = v[tuple(lo)] + v[tuple(hi)]
-            avg = pair if avg is None else avg + pair
-        candidate = np.maximum(gamma[interior], share * avg)
-        residual = float(np.max(v[interior] - candidate))
-        v[interior] = candidate
+        np.add(*shifted[0], out=avg)
+        for lo_view, hi_view in shifted[1:]:
+            np.add(lo_view, hi_view, out=pair)
+            avg += pair
+        avg *= share
+        np.maximum(gamma_inner, avg, out=candidate)
+        np.subtract(v_inner, candidate, out=avg)  # avg is free again: reuse it
+        residual = float(avg.max())
+        v_inner[...] = candidate
         if residual < stop:
             occupied = v > gamma + 10.0 * stop
             return ObstacleSolution(float(h), gamma, v, occupied, it, residual)

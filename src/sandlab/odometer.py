@@ -49,10 +49,18 @@ def eta_field(s: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9) -> EtaF
     return EtaField(op, eta)
 
 
+def _shift_to_zero(eta: np.ndarray) -> np.ndarray:
+    return eta - eta.min()
+
+
+def _least_majorant_gap(gamma: np.ndarray) -> np.ndarray:
+    return gamma.max() - gamma
+
+
 def odometer_spectral(s: LatticeField, op: OperatorSpec) -> LatticeField:
     """Limit odometer eta - min(eta); nonnegative with minimum zero."""
     eta = eta_field(s, op).field
-    return LatticeField(s.shape, eta.values - eta.values.min())
+    return LatticeField(s.shape, _shift_to_zero(eta.values))
 
 
 def obstacle_gamma(s: LatticeField, op: OperatorSpec) -> LatticeField:
@@ -68,7 +76,14 @@ def torus_obstacle_odometer(s: LatticeField, op: OperatorSpec) -> LatticeField:
     superharmonic majorant of gamma is the constant max(gamma).
     """
     gamma = obstacle_gamma(s, op).values
-    return LatticeField(s.shape, gamma.max() - gamma)
+    return LatticeField(s.shape, _least_majorant_gap(gamma))
+
+
+def odometer_routes(s: LatticeField, op: OperatorSpec) -> tuple[LatticeField, LatticeField]:
+    """(odometer_spectral, torus_obstacle_odometer) of s from one Poisson solve."""
+    eta = eta_field(s, op).field.values
+    return (LatticeField(s.shape, _shift_to_zero(eta)),
+            LatticeField(s.shape, _least_majorant_gap(-eta)))
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ from sandlab.cli import (
 )
 from sandlab.fieldio import read_field
 from sandlab.lattice import LatticeField
+from sandlab.operators import OperatorSpec
 from sandlab.toppling import SandpileState, StabilizationReport
 
 
@@ -97,6 +98,21 @@ def test_validate_cross_key_rules():
          "'scale' only applies to sigma = stable"),
         ("kind = variance\nn = 8, 16\nd = 2\nf = cos 1 0\nsamples = 10\ndelta = 0.25\n",
          "'delta' only applies to sigma = correlated"),
+        # growth values that would crash inside the runner or be misread
+        ("kind = idla\nparticles = 10\nd = 0\n", "'d' must be at least 1"),
+        ("kind = rotor\nparticles = 10\nd = 0\n", "'d' must be at least 1"),
+        ("kind = point-source\nmass = 10\nd = 0\n", "'d' must be at least 1"),
+        ("kind = obstacle-shape\nd = 2\nh = 0\nbox = 1.0\nsource = ball 0.5 4\n", "positive grid spacing"),
+        ("kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = point 0\n", "must be positive"),
+        ("kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = ball 0.5 0\n", "must be positive"),
+        ("kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = ball -0.5 4\n", "must be positive"),
+        ("kind = idla\nparticles = 10\nd = 2\ntrials = 0\n", "idla needs at least one trial"),
+        ("kind = idla\nparticles = 10\nd = 2\nbox = -3\n", "'box' must be at least 1"),
+        ("kind = rotor\nparticles = 10\nd = 2\nbox = 0\n", "'box' must be at least 1"),
+        ("kind = point-source\nmass = 10\nd = 2\nbox = -3\n", "'box' must be at least 1"),
+        ("kind = point-source\nmass = 10\nd = 2\ntau = -1\n", "'tau' must be nonnegative"),
+        ("kind = rotor\nparticles = 0\nd = 2\n", "'particles' must be at least 1"),
+        ("kind = point-source\nmass = -1\nd = 2\n", "'mass' must be nonnegative"),
     ]
     for text, match in cases:
         with pytest.raises(ManifestError, match=match):
@@ -172,6 +188,27 @@ def test_run_exit_one_on_runner_exception(tmp_path, monkeypatch, capsys):
     assert not Path("outb").exists()  # nothing is written before the experiment finishes
 
 
+def test_run_rejects_growth_values_without_traceback(tmp_path, monkeypatch, capsys):
+    # Rejected before predicted_radius could divide by d = 0 in the runner.
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "z.txt", "kind = point-source\nmass = 10\nd = 0\nout = outz\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert "'d' must be at least 1" in err
+    assert "Traceback" not in err
+    assert not Path("outz").exists()
+
+
+def test_growth_key_bounds_are_accepted():
+    for text in (
+        "kind = idla\nparticles = 10\nd = 1\ntrials = 1\nbox = 1\n",
+        "kind = rotor\nparticles = 10\nd = 3\nbox = 1\n",
+        "kind = point-source\nmass = 0\nd = 2\ntau = 0\nbox = 1\n",
+        "kind = obstacle-shape\nd = 1\nh = 0.1\nbox = 1.0\nsource = point 0.5\n",
+    ):
+        validate_manifest(parse_manifest(text))
+
+
 # One tiny manifest per kind; heatmaps are on wherever the kind has them.
 TINY_RUNS = {
     "topple": "kind = topple\nd = 2\nn = 8\nheatmap = true\n",
@@ -198,6 +235,24 @@ def test_summary_lists_exactly_the_written_files(tmp_path, kind):
     assert record.outputs == tuple(listed) + ("summary.txt",)
     assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "summary.txt")
     assert any(name.endswith(".pgm") for name in listed) == ("heatmap = true" in TINY_RUNS[kind])
+
+
+@pytest.mark.parametrize("operator", ["operator = nn\n", "operator = lr\nalpha = 1.0\n"])
+def test_odometer_run_solves_once(tmp_path, monkeypatch, operator):
+    # Both odometer routes come from one potential: one spectral solve per
+    # run, and the obstacle route still agrees with the direct one exactly.
+    calls = []
+    solve = OperatorSpec.solve
+
+    def counted(self, block):
+        calls.append(block.shape)
+        return solve(self, block)
+
+    monkeypatch.setattr(OperatorSpec, "solve", counted)
+    record = cli.run(parse_manifest(f"kind = odometer\nd = 2\nn = 16\n{operator}"), tmp_path / "out")
+    assert len(calls) == 1
+    assert record.criteria[0].passed
+    assert (tmp_path / "out" / "odometer.csv").read_text().splitlines()[1].endswith(",0.0")
 
 
 def test_stable_scale_reaches_the_sampler(tmp_path, monkeypatch):

@@ -1,8 +1,12 @@
 """Growth models from a point source and the continuum obstacle picture."""
 
+from dataclasses import dataclass
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from sandlab._util import generator
 from sandlab.growth import (
     AggregateSet,
     BoundaryTouchError,
@@ -158,3 +162,270 @@ def test_obstacle_solver_rejects_bad_grid():
         continuum_obstacle_solve(np.zeros((16, 16)), 2.0 / 16)  # even side
     with pytest.raises(ValueError):
         continuum_obstacle_solve(np.zeros((3, 3)), 1.0)  # too small
+
+
+# Frozen reference engines: plain per-batch and per-step loops.  The engines
+# in sandlab.growth must reproduce them bit for bit (same draws, same
+# visiting order, same floating-point operations in the same order), which
+# is what keeps the growth artifacts byte-stable.
+
+
+def reference_settle(flat, flat_index, radius, d, side):
+    flat[flat_index] = True
+    coords = np.array(np.unravel_index(flat_index, (side,) * d)) - radius
+    if np.max(np.abs(coords)) >= radius:
+        raise BoundaryTouchError(
+            f"aggregate reached the box edge at {tuple(int(c) for c in coords)}; "
+            f"increase the box radius beyond {radius}"
+        )
+
+
+def reference_offsets(d, side):
+    strides = np.array([side**k for k in range(d - 1, -1, -1)], dtype=np.int64)
+    dirs = np.zeros((2 * d, d), dtype=np.int64)
+    for axis in range(d):
+        dirs[2 * axis, axis] = 1
+        dirs[2 * axis + 1, axis] = -1
+    return dirs @ strides
+
+
+def reference_idla(particles, d, seed=0, box_radius=None):
+    radius = default_box_radius(particles, d) if box_radius is None else int(box_radius)
+    side = 2 * radius + 1
+    occupied = np.zeros((side,) * d, dtype=bool)
+    flat = occupied.ravel()
+    offsets = reference_offsets(d, side)
+    origin_flat = (side ** np.arange(d - 1, -1, -1) * radius).sum()
+    rng = generator(seed, 11)
+    for _ in range(particles):
+        pos = int(origin_flat)
+        if not flat[pos]:
+            reference_settle(flat, pos, radius, d, side)
+            continue
+        batch = 16
+        while True:
+            steps = offsets[rng.integers(0, 2 * d, size=batch)]
+            trail = pos + np.cumsum(steps)
+            free = ~flat[np.clip(trail, 0, flat.size - 1)]
+            if free.any():
+                reference_settle(flat, int(trail[int(np.argmax(free))]), radius, d, side)
+                break
+            pos = int(trail[-1])
+            batch = min(2 * batch, 1024)
+    return occupied
+
+
+def reference_rotor(particles, d, box_radius=None, initial_direction=0):
+    radius = default_box_radius(particles, d) if box_radius is None else int(box_radius)
+    side = 2 * radius + 1
+    occupied = np.zeros((side,) * d, dtype=bool)
+    flat = occupied.ravel()
+    rotors = np.full(side**d, initial_direction, dtype=np.int8)
+    offsets = [int(o) for o in reference_offsets(d, side)]
+    origin_flat = int((side ** np.arange(d - 1, -1, -1) * radius).sum())
+    for _ in range(particles):
+        pos = origin_flat
+        while flat[pos]:
+            r = rotors[pos]
+            rotors[pos] = (r + 1) % (2 * d)
+            pos += offsets[r]
+        reference_settle(flat, pos, radius, d, side)
+    return occupied
+
+
+def reference_ring_active(excess, tol):
+    d = excess.ndim
+    for axis in range(d):
+        for edge in (0, -1):
+            idx = [slice(None)] * d
+            idx[axis] = edge
+            if float(excess[tuple(idx)].max(initial=0.0)) > tol:
+                return True
+    return False
+
+
+def reference_zero_ring(excess):
+    d = excess.ndim
+    for axis in range(d):
+        for edge in (0, -1):
+            idx = [slice(None)] * d
+            idx[axis] = edge
+            excess[tuple(idx)] = 0.0
+
+
+def reference_point_source(mass, d, box_radius=None, tol=1e-6, step_limit=2_000_000):
+    radius = default_box_radius(max(mass, 1.0), d) if box_radius is None else int(box_radius)
+    side = 2 * radius + 1
+    s = np.zeros((side,) * d)
+    u = np.zeros_like(s)
+    s[(radius,) * d] = mass
+    share = 1.0 / (2 * d)
+    window = 1
+    steps = 0
+    while True:
+        sl = tuple(slice(radius - window, radius + window + 1) for _ in range(d))
+        win = s[sl]
+        excess = np.maximum(win - 1.0, 0.0)
+        if float(excess.max()) <= tol:
+            break
+        if reference_ring_active(excess, tol):
+            if window >= radius:
+                raise BoundaryTouchError(
+                    f"excess reached the box edge; increase the box radius beyond {radius}"
+                )
+            window += 1
+            continue
+        reference_zero_ring(excess)
+        win -= excess
+        for axis in range(d):
+            src_lo = [slice(None)] * d
+            src_hi = [slice(None)] * d
+            dst_lo = [slice(None)] * d
+            dst_hi = [slice(None)] * d
+            src_lo[axis] = slice(0, -1)
+            dst_lo[axis] = slice(1, None)
+            src_hi[axis] = slice(1, None)
+            dst_hi[axis] = slice(0, -1)
+            win[tuple(dst_lo)] += share * excess[tuple(src_lo)]
+            win[tuple(dst_hi)] += share * excess[tuple(src_hi)]
+        u[sl] += excess
+        steps += 1
+        if steps > step_limit:
+            raise RuntimeError(
+                f"parallel toppling did not settle in {step_limit} steps; max excess {excess.max():.3e}"
+            )
+    return s, u, steps
+
+
+def reference_obstacle_sweeps(gamma):
+    """The monotone relaxation of continuum_obstacle_solve, from its obstacle."""
+    d = gamma.ndim
+    stop = 1e-10 * float(np.max(np.abs(gamma)))
+    v = np.full_like(gamma, float(gamma.max()))
+    boundary_mask = np.zeros_like(gamma, dtype=bool)
+    for k in range(d):
+        idx = [slice(None)] * d
+        idx[k] = 0
+        boundary_mask[tuple(idx)] = True
+        idx[k] = -1
+        boundary_mask[tuple(idx)] = True
+    v[boundary_mask] = gamma[boundary_mask]
+    interior = tuple(slice(1, -1) for _ in range(d))
+    share = 1.0 / (2 * d)
+    it = 0
+    while True:
+        it += 1
+        avg = None
+        for k in range(d):
+            lo = [slice(1, -1)] * d
+            hi = [slice(1, -1)] * d
+            lo[k] = slice(0, -2)
+            hi[k] = slice(2, None)
+            pair = v[tuple(lo)] + v[tuple(hi)]
+            avg = pair if avg is None else avg + pair
+        candidate = np.maximum(gamma[interior], share * avg)
+        residual = float(np.max(v[interior] - candidate))
+        v[interior] = candidate
+        if residual < stop:
+            return v, v > gamma + 10.0 * stop, it, residual
+
+
+@dataclass(frozen=True)
+class Raised:
+    error: type
+    message: str
+
+
+def outcome(fn, *args, **kwargs):
+    """The result of fn, or the type and message of the error it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except RuntimeError as exc:  # BoundaryTouchError or the step limit
+        return Raised(type(exc), str(exc))
+
+
+# Small boxes make the aggregate touch the edge; None is the default box.
+BOXES = st.one_of(st.none(), st.integers(1, 6))
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), particles=st.integers(1, 400), seed=st.integers(0, 2**31 - 1), box=BOXES)
+def test_idla_is_bit_identical_to_reference(d, particles, seed, box):
+    ref = outcome(reference_idla, particles, d, seed=seed, box_radius=box)
+    new = outcome(idla_aggregate, particles, d, seed=seed, box_radius=box)
+    if isinstance(ref, Raised):
+        assert new == ref
+    else:
+        assert np.array_equal(new.occupied, ref)
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), particles=st.integers(1, 400), turn=st.integers(0, 5), box=BOXES)
+def test_rotor_is_bit_identical_to_reference(d, particles, turn, box):
+    initial = turn % (2 * d)
+    ref = outcome(reference_rotor, particles, d, box_radius=box, initial_direction=initial)
+    new = outcome(rotor_router_aggregate, particles, d, box_radius=box, initial_direction=initial)
+    if isinstance(ref, Raised):
+        assert new == ref
+    else:
+        assert np.array_equal(new.occupied, ref)
+
+
+def test_rotor_matches_reference_for_every_initial_direction():
+    for d in (1, 2, 3):
+        for initial in range(2 * d):
+            agg = rotor_router_aggregate(150, d, initial_direction=initial)
+            assert np.array_equal(agg.occupied, reference_rotor(150, d, initial_direction=initial))
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    d_mass=st.integers(1, 3).flatmap(
+        lambda d: st.tuples(st.just(d), st.floats(0.0, (40.0, 150.0, 100.0)[d - 1]))),
+    tol=st.sampled_from([1e-2, 1e-4, 1e-6, 1e-9]),
+    box=BOXES,
+    step_limit=st.sampled_from([3, 40, 2_000_000]),
+)
+def test_point_source_is_bit_identical_to_reference(d_mass, tol, box, step_limit):
+    d, mass = d_mass
+    ref = outcome(reference_point_source, mass, d, box_radius=box, tol=tol, step_limit=step_limit)
+    new = outcome(point_source_sandpile, mass, d, box_radius=box, tol=tol, step_limit=step_limit)
+    if isinstance(ref, Raised):
+        assert new == ref
+        return
+    s, u, steps = ref
+    assert new.steps == steps
+    assert np.array_equal(new.final, s)
+    assert np.array_equal(new.odometer, u)
+    assert np.array_equal(new.aggregate.occupied, u > 0.0)
+
+
+@pytest.mark.parametrize("d, mass", [(1, 30.0), (2, 150.0), (3, 200.0)])
+def test_point_source_matches_reference_at_moderate_masses(d, mass):
+    s, u, steps = reference_point_source(mass, d)
+    res = point_source_sandpile(mass, d)
+    assert steps > 50
+    assert res.steps == steps
+    assert np.array_equal(res.final, s)
+    assert np.array_equal(res.odometer, u)
+
+
+@settings(max_examples=30, deadline=None)
+@given(
+    d=st.integers(1, 3),
+    cells=st.integers(2, 12),
+    ball=st.floats(0.05, 0.6),
+    height=st.floats(0.5, 20.0),
+)
+def test_obstacle_solver_is_bit_identical_to_reference(d, cells, ball, height):
+    cells = min(cells, (12, 12, 5)[d - 1])
+    h = 1.0 / cells
+    axis = (np.arange(2 * cells + 1) - cells) * h
+    mesh = np.meshgrid(*([axis] * d), indexing="ij")
+    inside = sum(m * m for m in mesh) <= ball * ball
+    sol = continuum_obstacle_solve(np.where(inside, height, 0.0), h)
+    v, occupied, iterations, residual = reference_obstacle_sweeps(sol.gamma)
+    assert sol.iterations == iterations
+    assert sol.residual == residual
+    assert np.array_equal(sol.v, v)
+    assert np.array_equal(sol.occupied, occupied)
