@@ -24,6 +24,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from ._util import loglog_slope, parallel_map
 from .lattice import (
@@ -122,11 +123,19 @@ def exact_pairing_variance(op: OperatorSpec, f: TestFunction, khat: np.ndarray |
     """Exact Gaussian variance of <Xi_n, f> before any a_n rescaling.
 
     khat = None is independent unit-variance noise (mode weight 1/nsites);
-    an array is the colored sampler's multiplier (mode weight khat(w)).
+    an array is the colored sampler's multiplier (mode weight khat(w)) and
+    must pass ``validate_multiplier``.  The sum runs over the rfftn half grid.
     """
     c = cell_integral_field(f, op.shape)
-    potential_hat = np.fft.fftn(c.values) * op.inverse_symbol()
-    return float(np.sum(mode_weight(op.shape, khat) * np.abs(potential_hat) ** 2))
+    potential_hat = scipy.fft.rfftn(c.values) * op.inverse_symbol()
+    power = mode_weight(op.shape, khat) * np.abs(potential_hat) ** 2
+    # Each interior half-grid column stands for itself and its mirror image;
+    # column 0 and, for even n, column n/2 are their own mirrors.
+    columns = np.full(power.shape[-1], 2.0)
+    columns[0] = 1.0
+    if op.shape.n % 2 == 0:
+        columns[-1] = 1.0
+    return float(np.sum(power * columns))
 
 
 def _mode_setup(mode: ScalingMode, shape: TorusShape):
@@ -248,10 +257,6 @@ class CharfunExperiment:
     continuum_integral: float  # grid integral of |G_f|^alpha
     calibration: float         # (2d)^alpha from the generator normalization
     rows: tuple[CharfunRow, ...]
-
-    @property
-    def target_scale(self) -> float:
-        return self.calibration * self.continuum_integral
 
     def fitted_scale(self, min_signal: float = 5.0) -> float:
         """Weighted through-origin fit of -log|phi| against t^alpha.

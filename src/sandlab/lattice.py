@@ -66,19 +66,8 @@ class LatticeField:
         object.__setattr__(self, "values", v)
 
     @classmethod
-    def from_array(cls, values) -> "LatticeField":
-        v = np.asarray(values, dtype=np.float64)
-        if v.ndim < 1 or any(s != v.shape[0] for s in v.shape):
-            raise ValueError("array must be d-dimensional with equal side lengths")
-        return cls(TorusShape(v.ndim, v.shape[0]), v)
-
-    @classmethod
     def zeros(cls, shape: TorusShape) -> "LatticeField":
         return cls(shape, np.zeros(shape.dims))
-
-    @classmethod
-    def filled(cls, shape: TorusShape, value: float) -> "LatticeField":
-        return cls(shape, np.full(shape.dims, float(value)))
 
     def ravel(self) -> np.ndarray:
         """Canonical flat site order (row-major)."""

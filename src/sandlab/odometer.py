@@ -20,9 +20,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from .lattice import LatticeField, TorusShape, _reverse_indices, wrap_coord
 from .operators import OperatorSpec, solve_poisson
+from .sampling import validate_multiplier
 
 
 @dataclass(frozen=True)
@@ -106,21 +108,29 @@ def eta_covariance_exact(op: OperatorSpec, khat: np.ndarray | None = None) -> Co
 
     khat = None means independent unit-variance noise, mode weight 1/nsites.
     A multiplier array means colored noise whose transform carries weight
-    khat(w) per mode, matching the colored sampler's convention.
+    khat(w) per mode, matching the colored sampler's convention; it must pass
+    ``validate_multiplier``.  The table is one inverse real transform from the
+    half grid.
     """
     mode = mode_weight(op.shape, khat) * op.inverse_symbol() ** 2
-    values = np.fft.ifftn(mode).real * op.shape.nsites
+    values = scipy.fft.irfftn(mode, s=op.shape.dims) * op.shape.nsites
     return CovarianceTable(op, LatticeField(op.shape, values))
 
 
-def mode_weight(shape: TorusShape, khat: np.ndarray | None) -> np.ndarray:
-    """Per-mode noise weight: 1/nsites for white noise, else the multiplier."""
+def mode_weight(shape: TorusShape, khat: np.ndarray | None) -> float | np.ndarray:
+    """Per-mode noise weight on the rfftn half grid: 1/nsites for white noise,
+    else the multiplier's half.
+
+    A half-grid inverse transform reads only half of the multiplier, so it
+    would silently symmetrize an uneven one; such a khat raises ValueError.
+    """
     if khat is None:
-        return np.full(shape.dims, 1.0 / shape.nsites)
+        return 1.0 / shape.nsites
+    check = validate_multiplier(khat, shape)
+    if not check.valid:
+        raise ValueError(f"covariance multiplier rejected: {check.reason}")
     weight = np.asarray(khat, dtype=np.float64)
-    if weight.shape != shape.dims:
-        raise ValueError("covariance multiplier has the wrong shape")
-    return weight
+    return weight[..., : shape.n // 2 + 1]
 
 
 def covariance_checks(table: CovarianceTable, tol: float = 1e-8) -> None:

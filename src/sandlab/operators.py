@@ -17,20 +17,33 @@ the single source of truth for all long-range spectral computations.  Each
 operator caches its inverse symbol -1/lambda, and every Poisson solve,
 covariance and batched sample in the package goes through that one table.
 
+Fields are real and both generators are even, so every spectral table is
+Hermitian: its values at -w are those at w.  The inverse symbol is therefore
+kept on the half grid of ``scipy.fft.rfftn`` (last axis cut to n//2 + 1
+columns), and solves run as ``rfftn`` -> multiply -> ``irfftn``.  The full
+eigenvalue table stays public for callers that index the whole grid.
+
 The folded kernel is evaluated by an Ewald split of the lattice sum: a
 Gaussian-damped real-space part plus a Gaussian-damped frequency part, both of
 which converge like exp(-pi R^2) in their cutoff radius R.  Direct truncation
 of the power-law sum would need astronomically large radii to meet tight tail
 tolerances when alpha <= 1; the split reaches them with a handful of image
-shells.  The tolerance argument still bounds the discarded tail, and an
-unattainable tolerance raises with the radius it would require.
+shells.  The real-space part is cut spherically: it keeps the image points
+within rho = R - 1/2 of the origin (in units of n) and skips every image
+shell whose cell lies wholly beyond rho.  The frequency part keeps the cube of
+shells up to R, which contains the ball of radius rho.  ``_ewald_log_tail_bound``
+bounds what both parts drop beyond rho, and R is the smallest radius whose
+bound is at most half the tolerance; an unattainable tolerance raises with the
+radius it would require.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.fft
 from scipy.special import exp1, gamma as gamma_fn, gammaincc
 
 from .lattice import LatticeField, TorusShape, frequency_grid
@@ -70,17 +83,51 @@ def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
     return val
 
 
-def _ewald_real_radius(s_exp: float, d: int, eps: float) -> int:
-    """Smallest image-shell radius whose Gaussian-damped tail is below eps."""
-    for radius in range(3, _EWALD_RADIUS_CAP + 1):
-        count = (2 * radius + 3) ** d
-        bound = count * np.exp(-np.pi * (radius - 0.5) ** 2)
-        if bound < eps:
-            return radius
-    raise ValueError(
-        f"kernel tail tolerance {eps:g} needs an image radius beyond the cap "
-        f"{_EWALD_RADIUS_CAP}; relax the tolerance"
-    )
+def _ewald_log_tail_bound(d: int, alpha: float, rho: float) -> float:
+    """Natural log of a bound on what both Ewald halves drop beyond radius rho.
+
+    Every term of either half is c * int_1^inf t^(b-1) exp(-pi t |v|^2) dt at
+    a point v of a shifted lattice y + Z^d, with c = pi^a / Gamma(a) and
+    a = (d + alpha)/2: b = a for the real half, and b = -alpha/2 with y = 0
+    for the frequency half.  For |v| >= rho and any lam in (0, 1),
+
+        exp(-pi t |v|^2) <= exp(-pi t lam rho^2) exp(-pi t (1 - lam) |v|^2),
+
+    and for t >= 1 the second factor summed over all of y + Z^d is at most
+    (1 + (1 - lam)^-1/2)^d (per axis, the theta sum peaks at y = 0 and is at
+    most 1 + tau^-1/2).  The remaining integral is Gamma(b, x) / x^b with
+    x = pi lam rho^2, at most exp(-x) / (x - max(b - 1, 0)).  The sum of both
+    dropped tails is therefore at most
+
+        c (1 + (1 - lam)^-1/2)^d exp(-x) (1 / (x - max(a - 1, 0)) + 1 / x),
+
+    minimized here over a fixed grid of lam (any lam gives a valid bound).
+    """
+    a = (d + alpha) / 2.0
+    lam = 1.0 - np.geomspace(0.5, 1e-4, 64)
+    x = np.pi * lam * rho * rho
+    ok = x > max(a - 1.0, 0.0)
+    if not np.any(ok):
+        return np.inf
+    lam, x = lam[ok], x[ok]
+    log_c = a * np.log(np.pi) - math.lgamma(a)
+    log_theta = d * np.log1p((1.0 - lam) ** -0.5)
+    tails = 1.0 / (x - max(a - 1.0, 0.0)) + 1.0 / x
+    return float(np.min(log_c + log_theta - x + np.log(tails)))
+
+
+def _ewald_radius(d: int, alpha: float, tol: float) -> int:
+    """Smallest image-shell radius R >= 3 whose dropped tail is at most tol / 2."""
+    log_eps = math.log(tol) - math.log(2.0)
+    radius = 3
+    while _ewald_log_tail_bound(d, alpha, radius - 0.5) > log_eps:
+        radius += 1
+    if radius > _EWALD_RADIUS_CAP:
+        raise ValueError(
+            f"kernel tail tolerance {tol:g} needs an image radius of {radius}, beyond "
+            f"the cap {_EWALD_RADIUS_CAP}; relax the tolerance"
+        )
+    return radius
 
 
 def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTable":
@@ -91,8 +138,9 @@ def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTab
     shape : torus geometry.
     alpha : tail exponent of the step distribution, must be positive.
     tol : bound on the neglected part of each lattice sum before
-        normalization.  Normalization afterwards makes the total mass exactly
-        one in floating point.
+        normalization: the image radius is the smallest whose proven tail
+        bound (``_ewald_log_tail_bound``) is at most tol / 2.  Normalization
+        afterwards makes the total mass exactly one in floating point.
     """
     if not (alpha > 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -100,22 +148,26 @@ def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTab
         raise ValueError(f"tail tolerance must lie in (0, 1), got {tol}")
     d, n = shape.d, shape.n
     s_exp = d + alpha
-    radius = _ewald_real_radius(s_exp, d, tol / 2.0)
+    radius = _ewald_radius(d, alpha, tol)
+    rho2 = (radius - 0.5) ** 2
 
-    # Real-space half: sum Gaussian-damped power-law terms over image shells
-    # around the centered residue representative of each site.
+    # Real-space half: sum Gaussian-damped power-law terms over the image
+    # points within rho of the origin, around the centered residue
+    # representative of each site.  Shells are visited in the cube's order so
+    # that the kept terms add up in a fixed order.
     axes = [((np.arange(n) + n // 2) % n) - n // 2 for _ in range(d)]
     centered = np.stack(np.meshgrid(*axes, indexing="ij"), axis=0).astype(np.float64)
     real_part = np.zeros(shape.dims)
     shifts = np.meshgrid(*[np.arange(-radius, radius + 1)] * d, indexing="ij")
     shifts = np.stack([a.ravel() for a in shifts], axis=-1)
-    for k in shifts:
+    gaps = np.maximum(np.abs(shifts) - 0.5, 0.0)
+    # a shell whose whole cell lies beyond rho holds no point to keep
+    for k in shifts[np.sum(gaps * gaps, axis=1) <= rho2]:
         z = centered + (n * k.astype(np.float64)).reshape((d,) + (1,) * d)
         r2 = np.sum((z / n) ** 2, axis=0)
-        nonzero = r2 > 0
-        r2safe = np.where(nonzero, r2, 1.0)
-        term = gammaincc(s_exp / 2.0, np.pi * r2safe) * r2safe ** (-s_exp / 2.0)
-        real_part += np.where(nonzero, term, 0.0)
+        near = (r2 > 0) & (r2 <= rho2)
+        r2 = r2[near]
+        real_part[near] += gammaincc(s_exp / 2.0, np.pi * r2) * r2 ** (-s_exp / 2.0)
 
     # Frequency half: Gaussian-damped dual sum, folded onto the FFT grid and
     # evaluated for every residue through one inverse transform.
@@ -234,9 +286,13 @@ class OperatorSpec:
     """Chosen generator, nearest-neighbour or long-range, with its cached tables.
 
     Everything spectral goes through two cached tables: the eigenvalues
-    lambda and the inverse symbol -1/lambda (zero at lambda = 0).  The
-    generator itself is applied by ``BufferedGenerator``, its only
-    implementation.
+    lambda on the full transform grid, and the inverse symbol -1/lambda (zero
+    at lambda = 0) on the half grid of ``scipy.fft.rfftn``, n^(d-1) * (n//2 + 1)
+    entries.  The half grid suffices because lambda is real and even, so a
+    real field's transform at -w is the conjugate of that at w.  The generator
+    itself is applied by ``BufferedGenerator``, its only implementation.
+    The long-range kernel cuts its real-space Ewald sum at a sphere whose
+    dropped tail is provably below half of ``tol`` (see ``lr_kernel``).
     """
 
     kind: str
@@ -277,10 +333,10 @@ class OperatorSpec:
         return self._eig
 
     def inverse_symbol(self) -> np.ndarray:
-        """-1/lambda at each frequency, and 0 where lambda is 0 (the zero mode)."""
+        """-1/lambda on the rfftn half grid, and 0 where lambda is 0 (the zero mode)."""
         if self._inv is None:
-            lam = self.eigenvalues().values
-            inv = np.zeros(self.shape.dims)
+            lam = self.eigenvalues().values[..., : self.shape.n // 2 + 1]
+            inv = np.zeros(lam.shape)
             np.divide(-1.0, lam, out=inv, where=lam != 0.0)
             inv.flat[0] = 0.0
             self._inv = inv
@@ -297,12 +353,13 @@ class OperatorSpec:
         """Mean-zero h with (-L) h = block - mean(block) over the trailing d axes.
 
         Leading axes index replicates.  Dropping the zero mode absorbs the
-        centering, so raw (uncentered) fields may be passed.
+        centering, so raw (uncentered) fields may be passed.  The transform is
+        real to half-complex, on the half grid of ``inverse_symbol``.
         """
         axes = tuple(range(block.ndim - self.shape.d, block.ndim))
-        coeffs = np.fft.fftn(block, axes=axes)
+        coeffs = scipy.fft.rfftn(block, axes=axes)
         coeffs *= self.inverse_symbol()
-        return np.fft.ifftn(coeffs, axes=axes).real
+        return scipy.fft.irfftn(coeffs, s=self.shape.dims, axes=axes)
 
 
 def solve_poisson(charge: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9) -> LatticeField:

@@ -16,6 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 from scipy.special import ndtri
 
 from ._util import generator
@@ -111,7 +112,7 @@ def _site_uniform_block(seed, shape: TorusShape, count: int, stream) -> np.ndarr
     """Uniform block of shape (count, draws_per_site) + dims in canonical order."""
     gen = generator(seed, *stream)
     u = gen.random((count, _DRAWS_PER_SITE) + shape.dims)
-    return np.clip(u, _U_LO, _U_HI)
+    return np.clip(u, _U_LO, _U_HI, out=u)
 
 
 def _transform(spec: SigmaSpec, u: np.ndarray, shape: TorusShape) -> np.ndarray:
@@ -134,9 +135,12 @@ def _transform(spec: SigmaSpec, u: np.ndarray, shape: TorusShape) -> np.ndarray:
         if not check.valid:
             raise ValueError(f"covariance multiplier rejected: {check.reason}")
         white = ndtri(u0)
-        amp = np.sqrt(shape.nsites * np.asarray(spec.khat, dtype=np.float64))
-        coeffs = np.fft.fftn(white, axes=tuple(range(1, white.ndim))) * amp
-        return np.fft.ifftn(coeffs, axes=tuple(range(1, white.ndim))).real
+        # khat is even (checked above), so the half grid carries all of it.
+        amp = np.sqrt(shape.nsites * np.asarray(spec.khat, dtype=np.float64)[..., : shape.n // 2 + 1])
+        axes = tuple(range(1, white.ndim))
+        coeffs = scipy.fft.rfftn(white, axes=axes)
+        coeffs *= amp
+        return scipy.fft.irfftn(coeffs, s=shape.dims, axes=axes)
     raise ValueError(f"unknown sigma regime {spec.regime!r}")
 
 

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from sandlab import TorusShape, LatticeField, OperatorSpec, solve_poisson
+from sandlab import TestFunction as Wave, TorusShape, LatticeField, OperatorSpec, solve_poisson
 from sandlab.odometer import (
     covariance_checks,
     eta_covariance_exact,
@@ -13,6 +13,7 @@ from sandlab.odometer import (
     odometer_spectral,
     torus_obstacle_odometer,
 )
+from sandlab.fieldstats import exact_pairing_variance
 from sandlab.sampling import SigmaSpec, make_initial_config, sample_sigma, sigma_chunk
 from sandlab.toppling import SandpileState, stabilize
 
@@ -161,6 +162,24 @@ def test_correlated_covariance_scales_with_multiplier():
     assert np.allclose(double, 2 * base, atol=1e-14)
     white = eta_covariance_exact(op).values.values
     assert np.allclose(base, white, atol=1e-14)
+
+
+@pytest.mark.parametrize("n", [5, 6])
+def test_exact_covariance_paths_reject_an_uneven_multiplier(n):
+    # The half-grid transforms read only half of khat, so an uneven one would
+    # be symmetrized silently; both exact paths must refuse it instead.
+    shape = TorusShape(2, n)
+    op = OperatorSpec.nearest_neighbour(shape)
+    khat = np.ones(shape.dims)
+    khat[1, 2] = 3.0  # its mirror (n-1, n-2) keeps weight one
+    f = Wave.cosine((1, 0))
+    with pytest.raises(ValueError, match="not even"):
+        eta_covariance_exact(op, khat)
+    with pytest.raises(ValueError, match="not even"):
+        exact_pairing_variance(op, f, khat)
+    khat[n - 1, n - 2] = 3.0
+    eta_covariance_exact(op, khat)
+    exact_pairing_variance(op, f, khat)
 
 
 def test_eta_sample_batch_matches_single_field():

@@ -2,11 +2,14 @@
 
 import numpy as np
 import pytest
+from scipy.special import gamma as gamma_fn, gammaincc
 
 from sandlab import TorusShape, LatticeField, OperatorSpec, solve_poisson, power_law_multiplier
 from sandlab.lattice import dft
 from sandlab.operators import (
     EigenvalueTable,
+    _ewald_log_tail_bound,
+    _upper_gamma,
     lr_eigenvalues,
     lr_kernel,
     nn_eigenvalues,
@@ -81,6 +84,95 @@ def test_lr_kernel_d1_matches_hurwitz_zeta():
         raw[x] = n**-s * (hurwitz_zeta(s, x / n) + hurwitz_zeta(s, 1 - x / n))
     want = raw / raw.sum()
     assert np.max(np.abs(table - want)) < 1e-13
+
+
+def cube_radius(d: int, eps: float) -> int:
+    """The image radius rule of the cube loop below."""
+    for radius in range(3, 17):
+        if (2 * radius + 3) ** d * np.exp(-np.pi * (radius - 0.5) ** 2) < eps:
+            return radius
+    raise ValueError("beyond the cap")
+
+
+def cube_lr_kernel(shape, alpha, tol):
+    """Frozen Ewald evaluation that sums the real half over a full image cube."""
+    d, n = shape.d, shape.n
+    s_exp = d + alpha
+    radius = cube_radius(d, tol / 2.0)
+    axes = [((np.arange(n) + n // 2) % n) - n // 2 for _ in range(d)]
+    centered = np.stack(np.meshgrid(*axes, indexing="ij"), axis=0).astype(np.float64)
+    real_part = np.zeros(shape.dims)
+    shifts = np.meshgrid(*[np.arange(-radius, radius + 1)] * d, indexing="ij")
+    shifts = np.stack([a.ravel() for a in shifts], axis=-1)
+    for k in shifts:
+        z = centered + (n * k.astype(np.float64)).reshape((d,) + (1,) * d)
+        r2 = np.sum((z / n) ** 2, axis=0)
+        nonzero = r2 > 0
+        r2safe = np.where(nonzero, r2, 1.0)
+        term = gammaincc(s_exp / 2.0, np.pi * r2safe) * r2safe ** (-s_exp / 2.0)
+        real_part += np.where(nonzero, term, 0.0)
+    prefactor = np.pi ** (s_exp / 2.0) / gamma_fn(s_exp / 2.0)
+    coeff_grid = np.zeros(shape.dims, dtype=np.complex128)
+    for m in shifts:
+        if np.all(m == 0):
+            continue
+        m2 = float(np.dot(m, m))
+        cm = (np.pi * m2) ** (alpha / 2.0) * _upper_gamma(-alpha / 2.0, np.array(np.pi * m2))
+        coeff_grid[tuple(np.mod(m, n))] += cm
+    dual_part = (np.fft.ifftn(coeff_grid).real * shape.nsites + 2.0 / alpha) * prefactor
+    dual_part = dual_part - np.where(np.sum(centered**2, axis=0) == 0, prefactor * 2.0 / s_exp, 0.0)
+    raw = (real_part + dual_part) * float(n) ** (-s_exp)
+    return raw / raw.sum()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("d, n", [(2, 16), (2, 11), (3, 7), (3, 8)])
+def test_spherical_lr_kernel_matches_cube_loop(d, n, alpha):
+    shape = TorusShape(d, n)
+    got = lr_kernel(shape, alpha, tol=1e-13).p
+    want = cube_lr_kernel(shape, alpha, 1e-13)
+    assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+def dropped_tails(d: int, n: int, alpha: float, radius: int, extra: int = 4) -> np.ndarray:
+    """Brute-force sum of the terms both Ewald halves drop at image radius R.
+
+    The real half drops the image points beyond rho = R - 1/2 of each site's
+    centered residue, the frequency half the shells outside the cube of R.
+    Both are summed out to R + extra, past which the terms are below 1e-150
+    of the first dropped one.
+    """
+    a = (d + alpha) / 2.0
+    rho2 = (radius - 0.5) ** 2
+    big = radius + extra
+    axes = [((np.arange(n) + n // 2) % n) - n // 2 for _ in range(d)]
+    y = np.stack(np.meshgrid(*axes, indexing="ij"), axis=0).reshape(d, -1) / n
+    ks = np.stack(np.meshgrid(*[np.arange(-big, big + 1)] * d, indexing="ij"), axis=0).reshape(d, -1)
+    r2 = np.sum((y[:, :, None] + ks[:, None, :]) ** 2, axis=0)
+    far = r2 > rho2
+    real = np.where(far, gammaincc(a, np.pi * np.where(far, r2, 1.0)) * np.where(far, r2, 1.0) ** -a, 0.0)
+    m2 = np.sum(ks**2, axis=0).astype(np.float64)
+    outside = np.max(np.abs(ks), axis=0) > radius
+    dual = (np.pi * m2[outside]) ** (alpha / 2.0) * _upper_gamma(-alpha / 2.0, np.pi * m2[outside])
+    prefactor = np.pi**a / gamma_fn(a)
+    return real.sum(axis=1) + prefactor * dual.sum()
+
+
+@pytest.mark.parametrize("alpha", [0.5, 1.0, 3.0])
+@pytest.mark.parametrize("d, n", [(1, 16), (2, 6), (3, 4)])
+@pytest.mark.parametrize("radius", [2, 3, 4])
+def test_ewald_tail_bound_covers_the_dropped_terms(d, n, alpha, radius):
+    bound = np.exp(_ewald_log_tail_bound(d, alpha, radius - 0.5))
+    tails = dropped_tails(d, n, alpha, radius)
+    assert np.all(tails > 0)
+    assert np.max(tails) <= bound
+
+
+def test_lr_kernel_unattainable_tolerance_names_the_radius():
+    # A radius past the cap of 16 shells would be needed: refused up front,
+    # before any table is built.
+    with pytest.raises(ValueError, match="needs an image radius of 17, beyond the cap 16"):
+        lr_kernel(TorusShape(5, 2), 2.0, tol=5e-324)
 
 
 def test_lr_kernel_d1_against_truncated_sum():

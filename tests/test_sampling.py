@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from sandlab import TorusShape, LatticeField
+from sandlab import TorusShape, LatticeField, sampling
+from sandlab._util import generator
 from sandlab.sampling import (
     CHUNK_REPLICATES,
     SigmaSpec,
@@ -195,3 +196,25 @@ def test_spec_parameter_validation():
         SigmaSpec.stable(0.0)
     with pytest.raises(ValueError):
         SigmaSpec.pareto(-1.0)
+
+
+def reference_uniforms(seed, shape, count, stream):
+    """The per-site uniform block as drawn before the in-place clip."""
+    u = generator(seed, *stream).random((count, 2) + shape.dims)
+    return np.clip(u, 1e-15, float(np.nextafter(1.0, 0.0)))
+
+
+@pytest.mark.parametrize("spec", [
+    SigmaSpec.iid_gaussian(),
+    SigmaSpec.iid_uniform(),
+    SigmaSpec.stable(1.3, scale=0.5),
+    SigmaSpec.pareto(2.5),
+    SigmaSpec.correlated_gaussian(np.full((5, 5), 0.04)),
+], ids=lambda spec: spec.regime)
+def test_in_place_clip_leaves_every_draw_unchanged(spec):
+    shape = TorusShape(2, 5)
+    for chunk_index, count in ((0, 7), (3, 2)):
+        want = sampling._transform(spec, reference_uniforms(9, shape, count, (1, chunk_index)), shape)
+        assert np.array_equal(sigma_chunk(spec, shape, 9, chunk_index, count=count), want)
+    want = sampling._transform(spec, reference_uniforms(9, shape, 1, (0,)), shape)[0]
+    assert np.array_equal(sample_sigma(spec, shape, 9).values, want)
