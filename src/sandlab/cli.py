@@ -156,40 +156,69 @@ def load_manifest(path) -> Manifest:
 
 @dataclass(frozen=True)
 class Key:
+    """One manifest key: its type, default, choices, range and owner.
+
+    ``bound`` is written as in the README: ``>= 1``, ``> 0`` or an interval
+    such as ``(0, 2]``.  A list key writes ``len >= k, each <bound>``: at
+    least k entries, each within the bound.  ``regime`` names the ``sigma``
+    value that owns a noise key; under any other regime the key is rejected,
+    under its own it is required or defaulted.  A schema lists ``sigma``
+    before the keys it owns.
+    """
     name: str
     typ: str  # int | float | bool | str | ints | floats
     required: bool = False
     default: object = None
     choices: tuple = None
+    bound: str = None
+    regime: str = None
 
+
+def _within(bound: str, x) -> bool:
+    """Whether x satisfies one bound: ``> a``, ``>= a`` or an interval."""
+    if bound[0] in "([":
+        lo, hi = (float(v) for v in bound[1:-1].split(","))
+        return (lo < x if bound[0] == "(" else lo <= x) and (x < hi if bound[-1] == ")" else x <= hi)
+    op, limit = bound.split()
+    return x > float(limit) if op == ">" else x >= float(limit)
+
+
+# Keys that several kinds share, declared once.
+_D = Key("d", "int", required=True, bound=">= 1")
+_N = Key("n", "int", required=True, bound=">= 2")
+_NS = Key("n", "ints", required=True, bound="len >= 2, each >= 2")
+_R = Key("r", "ints", required=True, bound="len >= 2, each >= 1")
+_F = Key("f", "str", required=True)
+_SAMPLES = Key("samples", "int", required=True, bound=">= 2")
+_BOX = Key("box", "int", bound=">= 1")
+_HEATMAP = Key("heatmap", "bool", default=False)
 
 _COMMON = (
-    Key("seed", "int", default=0),
+    Key("seed", "int", default=0, bound=">= 0"),
     Key("out", "str", default="runs"),
 )
 
 _OPERATOR_KEYS = (
     Key("operator", "str", default="nn", choices=("nn", "lr")),
-    Key("alpha", "float"),
+    Key("alpha", "float", bound="> 0"),
 )
 
-_SIGMA = Key("sigma", "str", default="gaussian",
-             choices=("gaussian", "uniform", "correlated", "stable", "pareto"))
-_DELTA = Key("delta", "float")
+_DELTA = Key("delta", "float", required=True, regime="correlated")
 _SIGMA_KEYS = (
-    _SIGMA,
-    Key("stable_alpha", "float"),
-    Key("pareto_index", "float"),
-    Key("scale", "float"),
+    Key("sigma", "str", default="gaussian",
+        choices=("gaussian", "uniform", "correlated", "stable", "pareto")),
+    Key("stable_alpha", "float", required=True, bound="(0, 2]", regime="stable"),
+    Key("pareto_index", "float", required=True, bound="> 0", regime="pareto"),
+    Key("scale", "float", default=1.0, bound="> 0", regime="stable"),
     _DELTA,
 )
 
 # topple and odometer: one sampled configuration on the torus
 _FIELD_KEYS = _OPERATOR_KEYS + _SIGMA_KEYS + (
-    Key("d", "int", required=True),
-    Key("n", "int", required=True),
+    _D,
+    _N,
     Key("write_fields", "bool", default=True),
-    Key("heatmap", "bool", default=False),
+    _HEATMAP,
 )
 
 # kind -> (schema, runner), the only list of kinds; KINDS keeps its order.
@@ -239,8 +268,24 @@ def _coerce(key: Key, value):
     raise AssertionError(key.typ)
 
 
+def _check_bound(key: Key, value):
+    """Return value if it lies within key.bound, entry by entry for a list."""
+    if key.bound is None:
+        return value
+    bound, items, each = key.bound, (value,), ""
+    if isinstance(value, tuple):
+        least, _, bound = bound.removeprefix("len >= ").partition(", each ")
+        if len(value) < int(least):
+            raise ManifestError(f"key {key.name!r}: expected at least {least} entries, got {len(value)}")
+        items, each = value, "each "
+    if not all(_within(bound, v) for v in items):
+        where = "in " if bound[0] in "([" else ""
+        raise ManifestError(f"key {key.name!r}: expected {each}{key.name} {where}{bound}, got {value!r}")
+    return value
+
+
 def validate_manifest(m: Manifest) -> dict:
-    """Type-check keys, apply defaults, and enforce cross-key compatibility."""
+    """Type-check keys against the schema, apply defaults, then cross-key rules."""
     schema, _ = _EXPERIMENTS[m.kind]
     by_name = {k.name: k for k in schema}
     unknown = sorted(set(m.values) - set(by_name))
@@ -248,116 +293,73 @@ def validate_manifest(m: Manifest) -> dict:
         raise ManifestError(f"unknown keys for kind {m.kind!r}: {', '.join(unknown)}")
     params = {"kind": m.kind}
     for key in schema:
+        owned = key.regime is None or params["sigma"] == key.regime
         if key.name in m.values:
-            params[key.name] = _coerce(key, m.values[key.name])
-        elif key.required:
-            raise ManifestError(f"kind {m.kind!r} requires key {key.name!r}")
+            if not owned:
+                raise ManifestError(
+                    f"key {key.name!r} only applies to sigma = {key.regime}, not {params['sigma']}"
+                )
+            params[key.name] = _check_bound(key, _coerce(key, m.values[key.name]))
+        elif key.required and owned:
+            owner = f"sigma = {key.regime}" if key.regime else f"kind {m.kind!r}"
+            raise ManifestError(f"{owner} requires key {key.name!r}")
         else:
-            params[key.name] = key.default
+            params[key.name] = key.default if owned else None
     _cross_validate(params)
     return params
 
 
 def _cross_validate(p: dict):
-    kind = p["kind"]
-    if p.get("operator") == "lr" and not p.get("alpha"):
+    """Rules that relate two keys, and the obstacle source text; one-key rules live in Key."""
+    if p.get("operator") == "lr" and p["alpha"] is None:
         raise ManifestError("long-range operator needs an 'alpha' key")
-    if p.get("operator") == "nn" and p.get("alpha") is not None:
+    if p.get("operator") == "nn" and p["alpha"] is not None:
         raise ManifestError("'alpha' only applies to the long-range operator")
-    if kind == "variance":
-        if p["sigma"] == "stable":
-            raise ManifestError(
-                "stable noise has no variance; use the charfun experiment for stable limits"
-            )
-        if p["sigma"] in ("uniform", "pareto"):
-            raise ManifestError("the variance experiment covers the Gaussian regimes only")
-        if p["sigma"] == "correlated" and p["operator"] != "nn":
-            raise ManifestError("correlated noise pairs with the nearest-neighbour operator")
-        if len(p["n"]) < 2:
-            raise ManifestError("the variance experiment needs at least two sizes")
-    if kind in ("topple", "odometer", "variance"):
-        _check_sigma_keys(p)
-    if kind == "charfun" and not (0 < p["alpha"] < 2):
-        raise ManifestError("charfun needs a stable index alpha in (0, 2)")
-    if kind == "mean-odometer" and len(p["n"]) < 2:
-        raise ManifestError("the mean-odometer curve needs at least two sizes")
-    if kind in ("variance-structure", "kernel-decay") and len(p["r"]) < 2:
-        raise ManifestError("need at least two separations to fit a slope")
-    if p.get("d") is not None and p["d"] < 1:
-        raise ManifestError("'d' must be at least 1")
-    if kind == "obstacle-shape":
-        if p["h"] <= 0:
-            raise ManifestError("obstacle-shape needs a positive grid spacing 'h'")
-        source = _parse_obstacle_source(p["source"])  # raises on malformed text
-        if any(v <= 0 for v in source[1:]):
-            raise ManifestError("obstacle source mass, radius and height must be positive")
-    if kind in ("density-probe", "idla") and p["trials"] < 1:
-        raise ManifestError(f"{kind} needs at least one trial")
-    if kind in ("idla", "rotor") and p["particles"] < 1:
-        raise ManifestError("'particles' must be at least 1")
-    if kind in ("idla", "rotor", "point-source") and p["box"] is not None and p["box"] < 1:
-        raise ManifestError("'box' must be at least 1")
-    if kind == "point-source":
-        if p["mass"] < 0:
-            raise ManifestError("'mass' must be nonnegative")
-        if p["tau"] < 0:
-            raise ManifestError("'tau' must be nonnegative")
-
-
-# Each noise parameter key and the one sigma regime that reads it.
-_SIGMA_KEY_REGIME = {
-    "scale": "stable",
-    "stable_alpha": "stable",
-    "pareto_index": "pareto",
-    "delta": "correlated",
-}
-
-
-def _check_sigma_keys(p: dict):
-    sigma = p["sigma"]
-    for key, regime in _SIGMA_KEY_REGIME.items():
-        if p.get(key) is not None and sigma != regime:
-            raise ManifestError(f"key {key!r} only applies to sigma = {regime}, not {sigma}")
-    if sigma == "stable" and not (p.get("stable_alpha") and 0 < p["stable_alpha"] <= 2):
-        raise ManifestError("stable noise needs 'stable_alpha' in (0, 2]")
-    if sigma == "stable" and p.get("scale") is not None and p["scale"] <= 0:
-        raise ManifestError("stable noise needs a positive 'scale'")
-    if sigma == "pareto" and not (p.get("pareto_index") and p["pareto_index"] > 0):
-        raise ManifestError("pareto noise needs a positive 'pareto_index'")
-    if sigma == "correlated" and p.get("delta") is None:
-        raise ManifestError("correlated noise needs the spectral decay key 'delta'")
+    if p["kind"] == "variance" and p["sigma"] == "correlated" and p["operator"] != "nn":
+        raise ManifestError("correlated noise pairs with the nearest-neighbour operator")
+    if p.get("heatmap") and p["d"] != 2:
+        raise ManifestError(f"key 'heatmap' needs d = 2, got d = {p['d']}")
+    if p.get("slope_tol") is not None and mean_odometer_exponent(p["operator"], p["d"], p["alpha"]) is None:
+        raise ManifestError(f"key 'slope_tol' does not apply: the {p['operator']} mean odometer "
+                            f"at d = {p['d']} is in a logarithmic regime, with no slope to check")
+    if "f" in p:  # f pairs at every size, f2 at the largest
+        sizes = p["n"] if isinstance(p["n"], tuple) else (p["n"],)
+        for name, n in (("f", min(sizes)), ("f2", max(sizes))):
+            if p.get(name) is None:
+                continue
+            wave = parse_test_function(p[name], p["d"]).modes[0][0]
+            if any(2 * abs(k) >= n for k in wave):
+                raise ManifestError(
+                    f"key {name!r}: the frequencies of {p[name]!r} must lie below n/2 = {n / 2:g}; "
+                    f"the n = {n} lattice aliases them"
+                )
+    if "source" in p:
+        _parse_obstacle_source(p["source"])
 
 
 def parse_test_function(text: str, d: int) -> TestFunction:
     """Parse 'cos 1 0' or 'sin 2 1' with an optional trailing amplitude.
 
-    The wave vector must have exactly d integer components; a final
-    non-integer token scales the mode.
+    The wave vector must have exactly d integer components; a final extra
+    token is an amplitude, of magnitude 1e-100 to 1e100, that scales the mode.
     """
     tokens = text.split()
     if not tokens or tokens[0] not in ("cos", "sin"):
         raise ManifestError(f"test function must start with cos or sin, got {text!r}")
     rest = tokens[1:]
-    amplitude = 1.0
-    if len(rest) == d + 1:
-        amplitude = float(rest[-1])
-        rest = rest[:-1]
-    if len(rest) != d:
+    if len(rest) not in (d, d + 1):
         raise ManifestError(f"test function {text!r} needs {d} integer frequencies")
     try:
-        wave = tuple(int(t) for t in rest)
+        wave = tuple(int(t) for t in rest[:d])
+        amplitude = float(rest[d]) if len(rest) > d else 1.0
     except ValueError:
-        raise ManifestError(f"test function {text!r} has non-integer frequencies")
+        raise ManifestError(f"test function {text!r} has non-integer frequencies or a non-numeric amplitude")
     if all(w == 0 for w in wave):
         raise ManifestError("test function frequency must be nonzero")
+    if not 1e-100 <= abs(amplitude) <= 1e100:  # beyond, the pairing variance leaves float range
+        raise ManifestError(f"test function {text!r} needs an amplitude of magnitude in [1e-100, 1e100]")
     factory = TestFunction.cosine if tokens[0] == "cos" else TestFunction.sine
     return factory(wave, amplitude)
-
-
-def _operator(p: dict, shape: TorusShape) -> OperatorSpec:
-    if p["operator"] == "nn":
-        return OperatorSpec.nearest_neighbour(shape)
-    return OperatorSpec.long_range(shape, p["alpha"])
 
 
 def _sigma_spec(p: dict, shape: TorusShape) -> SigmaSpec:
@@ -367,7 +369,7 @@ def _sigma_spec(p: dict, shape: TorusShape) -> SigmaSpec:
     if sigma == "uniform":
         return SigmaSpec.iid_uniform()
     if sigma == "stable":
-        return SigmaSpec.stable(p["stable_alpha"], 1.0 if p["scale"] is None else p["scale"])
+        return SigmaSpec.stable(p["stable_alpha"], p["scale"])
     if sigma == "pareto":
         return SigmaSpec.pareto(p["pareto_index"])
     khat = power_law_multiplier(shape, -4.0 * p["delta"], at_zero=1.0)
@@ -430,7 +432,7 @@ def _write_outputs(outdir: Path, sha: str, criteria, artifacts: dict):
 @_experiment("topple", *_FIELD_KEYS)
 def _run_topple(p, workers):
     shape = TorusShape(p["d"], p["n"])
-    op = _operator(p, shape)
+    op = OperatorSpec(p["operator"], shape, alpha=p["alpha"])
     sigma = sample_sigma(_sigma_spec(p, shape), shape, p["seed"])
     config = make_initial_config(sigma)
     mass_before = float(config.values.sum())
@@ -448,7 +450,7 @@ def _run_topple(p, workers):
     if p["write_fields"]:
         artifacts["odometer.dsf1"] = final.u
         artifacts["config_final.dsf1"] = final.s
-    if p["heatmap"] and shape.d == 2:
+    if p["heatmap"]:
         artifacts["odometer.pgm"] = final.u.values
     criteria = [
         CriterionResult("stabilized", report.status == "stabilized",
@@ -462,7 +464,7 @@ def _run_topple(p, workers):
 @_experiment("odometer", *_FIELD_KEYS)
 def _run_odometer(p, workers):
     shape = TorusShape(p["d"], p["n"])
-    op = _operator(p, shape)
+    op = OperatorSpec(p["operator"], shape, alpha=p["alpha"])
     sigma = sample_sigma(_sigma_spec(p, shape), shape, p["seed"])
     config = make_initial_config(sigma)
     u_direct, u_obstacle = odometer_routes(config, op)
@@ -472,7 +474,7 @@ def _run_odometer(p, workers):
         [[float(u_direct.values.max()), float(u_direct.values.mean()), gap]])}
     if p["write_fields"]:
         artifacts["odometer.dsf1"] = u_direct
-    if p["heatmap"] and shape.d == 2:
+    if p["heatmap"]:
         artifacts["odometer.pgm"] = u_direct.values
     criteria = [CriterionResult("obstacle-identity", gap <= 1e-12, f"gap={gap:.3e}")]
     return criteria, artifacts
@@ -494,13 +496,13 @@ def _variance_table(exp):
 
 @_experiment("variance",
              *_OPERATOR_KEYS,
-             _SIGMA,
+             Key("sigma", "str", default="gaussian", choices=("gaussian", "correlated")),
              _DELTA,
-             Key("d", "int", required=True),
-             Key("n", "ints", required=True),
-             Key("f", "str", required=True),
+             _D,
+             _NS,
+             _F,
              Key("f2", "str"),
-             Key("samples", "int", required=True),
+             _SAMPLES,
              Key("tol_flatness", "float", default=0.15),
              Key("tol_agreement", "float", default=0.10))
 def _run_variance(p, workers):
@@ -525,13 +527,13 @@ def _run_variance(p, workers):
 
 
 @_experiment("charfun",
-             Key("d", "int", required=True),
-             Key("n", "int", required=True),
-             Key("alpha", "float", required=True),
-             Key("f", "str", required=True),
-             Key("samples", "int", required=True),
-             Key("t", "floats", default=(0.5, 1.0, 2.0)),
-             Key("quad_points", "int", default=256),
+             _D,
+             _N,
+             Key("alpha", "float", required=True, bound="(0, 2)"),
+             _F,
+             _SAMPLES,
+             Key("t", "floats", default=(0.5, 1.0, 2.0), bound="len >= 1, each > 0"),
+             Key("quad_points", "int", default=256, bound=">= 1"),
              Key("tol_magnitude", "float", default=0.15),
              Key("tol_doubling", "float", default=0.10))
 def _run_charfun(p, workers):
@@ -570,18 +572,18 @@ def _run_charfun(p, workers):
 
 @_experiment("mean-odometer",
              *_OPERATOR_KEYS,
-             Key("d", "int", required=True),
-             Key("n", "ints", required=True),
-             Key("samples", "int", required=True),
+             _D,
+             _NS,
+             _SAMPLES,
              Key("slope_tol", "float"))
 def _run_mean_odometer(p, workers):
     kind = p["operator"]
     curve = mean_odometer_curve(kind, p["d"], p["n"], p["samples"], p["seed"],
-                                alpha=p.get("alpha"), workers=workers)
+                                alpha=p["alpha"], workers=workers)
     rows = [[r.n, r.value.point, r.value.stderr, pred]
             for r, pred in zip(curve.rows, curve.predicted_values)]
     artifacts = {"mean_odometer.csv": (["n", "estimate", "stderr", "prediction"], rows)}
-    expected = mean_odometer_exponent(kind, p["d"], p.get("alpha"))
+    expected = mean_odometer_exponent(kind, p["d"], p["alpha"])
     if expected is None:
         criteria = [CriterionResult("slope", True,
                                     f"fitted={curve.slope:.4f}; logarithmic regime, no power law asserted")]
@@ -596,12 +598,12 @@ def _run_mean_odometer(p, workers):
 
 @_experiment("variance-structure",
              *_OPERATOR_KEYS,
-             Key("d", "int", required=True),
-             Key("n", "int", required=True),
-             Key("r", "ints", required=True),
+             _D,
+             _N,
+             _R,
              Key("tol", "float", default=0.2))
 def _run_variance_structure(p, workers):
-    curve = variance_structure_curve(p["operator"], p["d"], p["n"], p["r"], alpha=p.get("alpha"))
+    curve = variance_structure_curve(p["operator"], p["d"], p["n"], p["r"], alpha=p["alpha"])
     rows = [[r, v] for r, v in zip(curve.rs, curve.values)]
     artifacts = {"variance_structure.csv": (["r", "increment_variance"], rows)}
     gap = abs(curve.slope - curve.target_slope)
@@ -612,12 +614,12 @@ def _run_variance_structure(p, workers):
 
 @_experiment("kernel-decay",
              *_OPERATOR_KEYS,
-             Key("d", "int", required=True),
-             Key("n", "int", required=True),
-             Key("r", "ints", required=True),
+             _D,
+             _N,
+             _R,
              Key("tol", "float", default=0.3))
 def _run_kernel_decay(p, workers):
-    result = covariance_decay_slope(p["operator"], p["d"], p["n"], p["r"], alpha=p.get("alpha"))
+    result = covariance_decay_slope(p["operator"], p["d"], p["n"], p["r"], alpha=p["alpha"])
     # below the critical dimension result.values is empty, and so is the table
     rows = [[r, v] for r, v in zip(p["r"], result.values)]
     artifacts = {"kernel_decay.csv": (["r", "covariance"], rows)}
@@ -633,13 +635,13 @@ def _run_kernel_decay(p, workers):
 
 
 @_experiment("idla",
-             Key("particles", "int", required=True),
-             Key("d", "int", required=True),
-             Key("trials", "int", default=20),
-             Key("box", "int"),
+             Key("particles", "int", required=True, bound=">= 1"),
+             _D,
+             Key("trials", "int", default=20, bound=">= 1"),
+             _BOX,
              Key("tol_deviation", "float", default=0.15),
              Key("tol_radius", "float", default=0.05),
-             Key("heatmap", "bool", default=False))
+             _HEATMAP)
 def _run_idla(p, workers):
     predicted = predicted_radius(p["particles"], p["d"])
 
@@ -652,7 +654,7 @@ def _run_idla(p, workers):
     for i, (m, _) in enumerate(results):
         rows.append([p["seed"] + i, m.volume, m.inradius, m.outradius, m.ball_deviation])
     artifacts = {"idla.csv": (["seed", "volume", "inradius", "outradius", "deviation"], rows)}
-    if p["heatmap"] and p["d"] == 2:
+    if p["heatmap"]:
         artifacts["idla.pgm"] = results[0][1].occupied
     mean_dev = float(np.mean([m.ball_deviation for m, _ in results]))
     mean_radius = float(np.mean([(m.inradius + m.outradius) / 2.0 for m, _ in results]))
@@ -667,11 +669,11 @@ def _run_idla(p, workers):
 
 
 @_experiment("rotor",
-             Key("particles", "int", required=True),
-             Key("d", "int", required=True),
-             Key("box", "int"),
+             Key("particles", "int", required=True, bound=">= 1"),
+             _D,
+             _BOX,
              Key("tol_deviation", "float", default=0.05),
-             Key("heatmap", "bool", default=False))
+             _HEATMAP)
 def _run_rotor(p, workers):
     predicted = predicted_radius(p["particles"], p["d"])
     agg = rotor_router_aggregate(p["particles"], p["d"], box_radius=p["box"])
@@ -682,7 +684,7 @@ def _run_rotor(p, workers):
         # one occupied lattice site per row, origin-centred
         "rotor_points.csv": ([f"x{k + 1}" for k in range(agg.d)], agg.points().tolist()),
     }
-    if p["heatmap"] and p["d"] == 2:
+    if p["heatmap"]:
         artifacts["rotor.pgm"] = agg.occupied
     criteria = [CriterionResult("ball-deviation", m.ball_deviation <= p["tol_deviation"],
                                 f"deviation={m.ball_deviation:.4f} tol={p['tol_deviation']}")]
@@ -690,13 +692,13 @@ def _run_rotor(p, workers):
 
 
 @_experiment("point-source",
-             Key("mass", "float", required=True),
-             Key("d", "int", required=True),
-             Key("tau", "float", default=1e-6),
-             Key("box", "int"),
+             Key("mass", "float", required=True, bound=">= 0"),
+             _D,
+             Key("tau", "float", default=1e-6, bound="> 0"),
+             _BOX,
              Key("tol_deviation", "float", default=0.10),
              Key("tol_radius", "float", default=0.05),
-             Key("heatmap", "bool", default=False))
+             _HEATMAP)
 def _run_point_source(p, workers):
     predicted = predicted_radius(p["mass"], p["d"])
     result = point_source_sandpile(p["mass"], p["d"], box_radius=p["box"], tol=p["tau"])
@@ -717,26 +719,30 @@ def _run_point_source(p, workers):
         criteria = [CriterionResult("ball-deviation", p["mass"] <= 1.0,
                                     "no site toppled; mass fits in one cell")]
     artifacts = {"point_source.csv": (["volume", "inradius", "outradius", "deviation", "steps"], [row])}
-    if toppled and p["heatmap"] and p["d"] == 2:
+    if toppled and p["heatmap"]:
         artifacts["point_source.pgm"] = result.odometer
     return criteria, artifacts
 
 
 def _parse_obstacle_source(text: str):
     tokens = text.split()
-    if tokens and tokens[0] == "point" and len(tokens) == 2:
-        return ("point", float(tokens[1]))
-    if tokens and tokens[0] == "ball" and len(tokens) == 3:
-        return ("ball", float(tokens[1]), float(tokens[2]))
-    raise ManifestError(
-        f"source {text!r} not understood; use 'point <mass>' or 'ball <radius> <height>'"
-    )
+    try:
+        numbers = tuple(float(t) for t in tokens[1:])
+    except ValueError:
+        numbers = ()
+    if len(numbers) != {"point": 1, "ball": 2}.get(tokens[0] if tokens else "", -1):
+        raise ManifestError(
+            f"source {text!r} not understood; use 'point <mass>' or 'ball <radius> <height>'"
+        )
+    if not all(math.isfinite(v) and v > 0 for v in numbers):
+        raise ManifestError("obstacle source mass, radius and height must be positive")
+    return (tokens[0],) + numbers
 
 
 @_experiment("obstacle-shape",
-             Key("d", "int", required=True),
-             Key("h", "float", required=True),
-             Key("box", "float", required=True),
+             _D,
+             Key("h", "float", required=True, bound="> 0"),
+             Key("box", "float", required=True, bound="> 0"),
              Key("source", "str", required=True),
              Key("tol_area", "float", default=0.15))
 def _run_obstacle_shape(p, workers):
@@ -780,10 +786,10 @@ def _run_obstacle_shape(p, workers):
 
 
 @_experiment("density-probe",
-             Key("d", "int", required=True),
-             Key("n", "int", required=True),
+             _D,
+             _N,
              Key("density", "float", required=True),
-             Key("trials", "int", default=50),
+             Key("trials", "int", default=50, bound=">= 1"),
              Key("expect", "str", default="auto", choices=("auto", "stabilize", "explode", "none")))
 def _run_density_probe(p, workers):
     shape = TorusShape(p["d"], p["n"])

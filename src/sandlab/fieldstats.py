@@ -261,13 +261,14 @@ class CharfunExperiment:
     def fitted_scale(self, min_signal: float = 5.0) -> float:
         """Weighted through-origin fit of -log|phi| against t^alpha.
 
-        Rows whose |phi| estimate sits below min_signal standard errors are
-        dropped: the logarithm of a value consistent with zero carries no
-        information about the decay exponent.
+        Rows whose |phi| estimate sits below min_signal standard errors, or
+        rounds to one, are dropped: the logarithm of a value consistent with
+        zero, or of exactly one, carries no information about the decay
+        exponent.
         """
         xs, ys, ws = [], [], []
         for r in self.rows:
-            if r.cf_abs < min_signal * r.stderr:
+            if r.cf_abs < min_signal * r.stderr or r.cf_abs >= 1.0:
                 continue
             se_log = r.stderr / r.cf_abs
             xs.append(r.t ** self.alpha)
@@ -410,13 +411,7 @@ def mean_odometer_curve(
     never changes the numbers.
     """
     def one_size(n: int) -> CurveRow:
-        shape = TorusShape(d, int(n))
-        if kind == "nn":
-            op = OperatorSpec.nearest_neighbour(shape)
-        elif kind == "lr":
-            op = OperatorSpec.long_range(shape, alpha)
-        else:
-            raise ValueError(f"unknown operator kind {kind!r}")
+        op = OperatorSpec(kind, TorusShape(d, int(n)), alpha=alpha)
         stats = _neg_min_eta_samples(op, samples, seed)
         mean = float(stats.mean())
         se = float(stats.std(ddof=1) / math.sqrt(samples))
@@ -533,13 +528,7 @@ def covariance_profile(kind: str, d: int, n: int, rs, alpha: float | None = None
         phases = np.cos(2.0 * np.pi * np.outer(rs, np.arange(n)) / n)
         # Mode weight 1/nsites, matching eta_covariance_exact for white noise.
         return (phases @ sums) / shape.nsites
-    if kind == "nn":
-        op = OperatorSpec.nearest_neighbour(shape)
-    elif kind == "lr":
-        op = OperatorSpec.long_range(shape, alpha)
-    else:
-        raise ValueError(f"unknown operator kind {kind!r}")
-    table = eta_covariance_exact(op).values.values
+    table = eta_covariance_exact(OperatorSpec(kind, shape, alpha=alpha)).values.values
     out = []
     for r in rs:
         idx = tuple([int(r) % n] + [0] * (d - 1))

@@ -119,12 +119,13 @@ def _ewald_log_tail_bound(d: int, alpha: float, rho: float) -> float:
 def _ewald_radius(d: int, alpha: float, tol: float) -> int:
     """Smallest image-shell radius R >= 3 whose dropped tail is at most tol / 2."""
     log_eps = math.log(tol) - math.log(2.0)
-    radius = 3
-    while _ewald_log_tail_bound(d, alpha, radius - 0.5) > log_eps:
-        radius += 1
-    if radius > _EWALD_RADIUS_CAP:
+    # Search one shell past the cap, so the error names the radius when it is that one.
+    radius = next((r for r in range(3, _EWALD_RADIUS_CAP + 2)
+                   if _ewald_log_tail_bound(d, alpha, r - 0.5) <= log_eps), None)
+    if radius is None or radius > _EWALD_RADIUS_CAP:
+        needed = "" if radius is None else f"of {radius}, "
         raise ValueError(
-            f"kernel tail tolerance {tol:g} needs an image radius of {radius}, beyond "
+            f"kernel tail tolerance {tol:g} at alpha = {alpha:g} needs an image radius {needed}beyond "
             f"the cap {_EWALD_RADIUS_CAP}; relax the tolerance"
         )
     return radius

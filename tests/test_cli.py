@@ -73,19 +73,77 @@ def test_validate_defaults_and_unknown_keys():
         validate_manifest(parse_manifest("kind = topple\nn = 8\n"))
 
 
+def test_regime_keys_default_only_under_their_regime():
+    stable = validate_manifest(parse_manifest(TOPPLE.replace("gaussian", "stable") + "stable_alpha = 1.5\n"))
+    assert stable["scale"] == 1.0
+    assert stable["pareto_index"] is None and stable["delta"] is None
+    gaussian = validate_manifest(parse_manifest(TOPPLE))
+    assert gaussian["scale"] is None and gaussian["stable_alpha"] is None
+
+
+# Manifests that validate once accepted.  In run most crashed, hung or
+# ignored a key; the rest failed with an error.  Each is now rejected by
+# validate, with a message that names the key.
+NEWLY_REJECTED = [
+    ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nsamples = 1\n", "key 'samples': expected samples >= 2"),
+    ("kind = mean-odometer\nd = 2\nn = 8, 16\nsamples = 1\n", "key 'samples': expected samples >= 2"),
+    ("kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1 0\nsamples = 0\n", "key 'samples'"),
+    ("kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1 0\nsamples = 1\n", "key 'samples'"),
+    ("kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1 0\nsamples = 10\nt = 0\n",
+     "key 't': expected each t > 0"),
+    ("kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1 0\nsamples = 10\nt = 1, 0\n",
+     "key 't': expected each t > 0"),
+    ("kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1 0\nsamples = 10\nquad_points = 0\n",
+     "key 'quad_points': expected quad_points >= 1"),
+    ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0 0\nsamples = 10\n",
+     r"'cos 1 0 0' needs an amplitude of magnitude in \[1e-100, 1e100\]"),
+    ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nf2 = sin 1 1 0\nsamples = 10\n", "'sin 1 1 0'"),
+    ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0 x\nsamples = 10\n", "'cos 1 0 x'"),
+    ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0 1e-200\nsamples = 10\n", "'cos 1 0 1e-200' needs an amplitude"),
+    ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0 -1e200\nsamples = 10\n", "'cos 1 0 -1e200' needs an amplitude"),
+    ("kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1\nsamples = 10\n", "needs 2 integer frequencies"),
+    ("kind = charfun\nd = 1\nn = 2\nalpha = 1.0\nf = sin 1 0.5\nsamples = 15\n", "key 'f': .* below n/2 = 1;"),
+    ("kind = variance\nd = 2\nn = 4, 16\nf = cos 2 0\nsamples = 10\n", "key 'f': .* below n/2 = 2;"),
+    ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nf2 = sin 8 1\nsamples = 10\n", "key 'f2': .* below n/2 = 8;"),
+    ("kind = topple\nd = 3\nn = 4\nheatmap = true\n", "key 'heatmap' needs d = 2, got d = 3"),
+    ("kind = odometer\nd = 1\nn = 8\nheatmap = true\n", "key 'heatmap' needs d = 2, got d = 1"),
+    ("kind = idla\nparticles = 10\nd = 3\nheatmap = true\n", "key 'heatmap' needs d = 2"),
+    ("kind = rotor\nparticles = 10\nd = 3\nheatmap = true\n", "key 'heatmap' needs d = 2"),
+    ("kind = point-source\nmass = 10\nd = 1\nheatmap = true\n", "key 'heatmap' needs d = 2"),
+    ("kind = mean-odometer\nd = 4\nn = 4, 6\nsamples = 4\nslope_tol = 0.1\n", "key 'slope_tol' does not apply"),
+    ("kind = mean-odometer\nd = 2\nn = 8, 16\nsamples = 4\noperator = lr\nalpha = 1.0\nslope_tol = 0.1\n",
+     "key 'slope_tol' does not apply"),
+    ("kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = point x\n", "not understood"),
+    ("kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 0\nsource = point 1\n", "key 'box': expected box > 0"),
+    ("kind = topple\nd = 2\nn = 1\n", "key 'n': expected n >= 2"),
+    ("kind = mean-odometer\nd = 2\nn = 8, 1\nsamples = 4\n", "key 'n': expected each n >= 2"),
+    ("kind = kernel-decay\nd = 2\nn = 8\nr = 0, 1\n", "key 'r': expected each r >= 1"),
+    ("kind = variance-structure\nd = 2\nn = 8\nr = 1\n", "key 'r': expected at least 2 entries"),
+    ("kind = topple\nd = 2\nn = 8\nseed = -1\n", "key 'seed': expected seed >= 0"),
+    ("kind = topple\nd = 2\nn = 8\noperator = lr\nalpha = -1\n", "key 'alpha': expected alpha > 0"),
+    ("kind = topple\nd = 2\nn = 8\nsigma = stable\nstable_alpha = 2.5\n",
+     r"key 'stable_alpha': expected stable_alpha in \(0, 2\]"),
+    ("kind = odometer\nd = 2\nn = 8\nsigma = pareto\npareto_index = 0\n",
+     "key 'pareto_index': expected pareto_index > 0"),
+    ("kind = topple\nd = 2\nn = 8\nsigma = pareto\n", "sigma = pareto requires key 'pareto_index'"),
+    ("kind = point-source\nmass = 10\nd = 1\ntau = 0\n", "key 'tau': expected tau > 0"),
+]
+
+
 def test_validate_cross_key_rules():
     cases = [
         ("kind = topple\nn = 8\nd = 1\noperator = lr\n", "needs an 'alpha'"),
         ("kind = topple\nn = 8\nd = 1\nalpha = 1.0\n", "only applies to the long-range"),
-        ("kind = variance\nn = 8, 16\nd = 2\nsigma = stable\nf = cos 1 0\nsamples = 10\n", "charfun"),
-        ("kind = variance\nn = 8\nd = 2\nf = cos 1 0\nsamples = 10\n", "at least two sizes"),
+        ("kind = variance\nn = 8, 16\nd = 2\nsigma = stable\nf = cos 1 0\nsamples = 10\n",
+         "key 'sigma': expected one of gaussian, correlated"),
+        ("kind = variance\nn = 8\nd = 2\nf = cos 1 0\nsamples = 10\n", "key 'n': expected at least 2 entries"),
         ("kind = charfun\nn = 8\nd = 2\nalpha = 2.5\nf = cos 1 0\nsamples = 10\n", r"alpha in \(0, 2\)"),
         ("kind = topple\nn = 8\nd = 2\nsigma = correlated\n", "delta"),
         ("kind = topple\nn = 8\nd = 2\nsigma = stable\n", "stable_alpha"),
         ("kind = topple\nn = 8\nd = 2\nsigma = stable\nstable_alpha = 1.5\nscale = -1.0\n",
-         "positive 'scale'"),
+         "key 'scale': expected scale > 0"),
         ("kind = odometer\nn = 8\nd = 2\nsigma = stable\nstable_alpha = 1.5\nscale = 0\n",
-         "positive 'scale'"),
+         "key 'scale': expected scale > 0"),
         # noise parameters apply to their own sigma regime only
         ("kind = topple\nn = 8\nd = 2\ndelta = 3.0\npareto_index = 2.0\n", "only applies to sigma"),
         ("kind = topple\nn = 8\nd = 2\ndelta = 3.0\n", "'delta' only applies to sigma = correlated"),
@@ -99,20 +157,21 @@ def test_validate_cross_key_rules():
         ("kind = variance\nn = 8, 16\nd = 2\nf = cos 1 0\nsamples = 10\ndelta = 0.25\n",
          "'delta' only applies to sigma = correlated"),
         # growth values that would crash inside the runner or be misread
-        ("kind = idla\nparticles = 10\nd = 0\n", "'d' must be at least 1"),
-        ("kind = rotor\nparticles = 10\nd = 0\n", "'d' must be at least 1"),
-        ("kind = point-source\nmass = 10\nd = 0\n", "'d' must be at least 1"),
-        ("kind = obstacle-shape\nd = 2\nh = 0\nbox = 1.0\nsource = ball 0.5 4\n", "positive grid spacing"),
+        ("kind = idla\nparticles = 10\nd = 0\n", "key 'd': expected d >= 1"),
+        ("kind = rotor\nparticles = 10\nd = 0\n", "key 'd': expected d >= 1"),
+        ("kind = point-source\nmass = 10\nd = 0\n", "key 'd': expected d >= 1"),
+        ("kind = obstacle-shape\nd = 2\nh = 0\nbox = 1.0\nsource = ball 0.5 4\n", "key 'h': expected h > 0"),
         ("kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = point 0\n", "must be positive"),
         ("kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = ball 0.5 0\n", "must be positive"),
         ("kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = ball -0.5 4\n", "must be positive"),
-        ("kind = idla\nparticles = 10\nd = 2\ntrials = 0\n", "idla needs at least one trial"),
-        ("kind = idla\nparticles = 10\nd = 2\nbox = -3\n", "'box' must be at least 1"),
-        ("kind = rotor\nparticles = 10\nd = 2\nbox = 0\n", "'box' must be at least 1"),
-        ("kind = point-source\nmass = 10\nd = 2\nbox = -3\n", "'box' must be at least 1"),
-        ("kind = point-source\nmass = 10\nd = 2\ntau = -1\n", "'tau' must be nonnegative"),
-        ("kind = rotor\nparticles = 0\nd = 2\n", "'particles' must be at least 1"),
-        ("kind = point-source\nmass = -1\nd = 2\n", "'mass' must be nonnegative"),
+        ("kind = idla\nparticles = 10\nd = 2\ntrials = 0\n", "key 'trials': expected trials >= 1"),
+        ("kind = idla\nparticles = 10\nd = 2\nbox = -3\n", "key 'box': expected box >= 1"),
+        ("kind = rotor\nparticles = 10\nd = 2\nbox = 0\n", "key 'box': expected box >= 1"),
+        ("kind = point-source\nmass = 10\nd = 2\nbox = -3\n", "key 'box': expected box >= 1"),
+        ("kind = point-source\nmass = 10\nd = 2\ntau = -1\n", "key 'tau': expected tau > 0"),
+        ("kind = rotor\nparticles = 0\nd = 2\n", "key 'particles': expected particles >= 1"),
+        ("kind = point-source\nmass = -1\nd = 2\n", "key 'mass': expected mass >= 0"),
+        *NEWLY_REJECTED,
     ]
     for text, match in cases:
         with pytest.raises(ManifestError, match=match):
@@ -194,7 +253,7 @@ def test_run_rejects_growth_values_without_traceback(tmp_path, monkeypatch, caps
     path = write(tmp_path, "z.txt", "kind = point-source\nmass = 10\nd = 0\nout = outz\n")
     assert main(["run", path]) == 1
     err = capsys.readouterr().err
-    assert "'d' must be at least 1" in err
+    assert "key 'd': expected d >= 1" in err
     assert "Traceback" not in err
     assert not Path("outz").exists()
 
@@ -203,7 +262,7 @@ def test_growth_key_bounds_are_accepted():
     for text in (
         "kind = idla\nparticles = 10\nd = 1\ntrials = 1\nbox = 1\n",
         "kind = rotor\nparticles = 10\nd = 3\nbox = 1\n",
-        "kind = point-source\nmass = 0\nd = 2\ntau = 0\nbox = 1\n",
+        "kind = point-source\nmass = 0\nd = 2\ntau = 1e-300\nbox = 1\n",
         "kind = obstacle-shape\nd = 1\nh = 0.1\nbox = 1.0\nsource = point 0.5\n",
     ):
         validate_manifest(parse_manifest(text))
@@ -383,3 +442,21 @@ def test_worker_count_never_changes_bytes(tmp_path, monkeypatch):
     s1 = Path("outw1/summary.txt").read_text().splitlines()[1:]
     s4 = Path("outw4/summary.txt").read_text().splitlines()[1:]
     assert s1 == s4
+
+
+def test_readme_key_table_equals_the_schema():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    lines = readme.splitlines()
+    head = lines.index("| key | kinds | bound | sigma |")
+    documented = {}
+    for line in lines[head + 2:]:
+        if not line.startswith("|"):
+            break
+        key, kinds, bound, regime = (c.strip().replace("`", "") for c in line.strip("|").split("|"))
+        documented[key, bound, regime] = set(cli.KINDS) if kinds == "every kind" else set(kinds.split(", "))
+    schema = {}
+    for kind, (keys, _) in cli._EXPERIMENTS.items():
+        for k in keys:
+            if k.bound or k.regime:
+                schema.setdefault((k.name, k.bound or "", k.regime or ""), set()).add(kind)
+    assert documented == schema

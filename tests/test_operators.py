@@ -1,5 +1,7 @@
 """Generators: spectral tables, folded kernels, Poisson solves."""
 
+import time
+
 import numpy as np
 import pytest
 from scipy.special import gamma as gamma_fn, gammaincc
@@ -173,6 +175,15 @@ def test_lr_kernel_unattainable_tolerance_names_the_radius():
     # before any table is built.
     with pytest.raises(ValueError, match="needs an image radius of 17, beyond the cap 16"):
         lr_kernel(TorusShape(5, 2), 2.0, tol=5e-324)
+
+
+def test_lr_kernel_without_any_bounded_radius_fails_fast():
+    # At alpha = 1e300 the tail bound is infinite at every radius; the search
+    # stops one shell past the cap instead of stepping toward R ~ 1e149.
+    started = time.monotonic()
+    with pytest.raises(ValueError, match="needs an image radius beyond the cap 16"):
+        lr_kernel(TorusShape(1, 8), 1e300)
+    assert time.monotonic() - started < 1.0
 
 
 def test_lr_kernel_d1_against_truncated_sum():
