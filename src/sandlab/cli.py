@@ -95,11 +95,7 @@ def _parse_scalar(tok: str):
 def _format_scalar(v) -> str:
     if isinstance(v, bool):
         return "true" if v else "false"
-    if isinstance(v, int):
-        return str(v)
-    if isinstance(v, float):
-        return format_float(v)
-    return str(v)
+    return format_float(v) if isinstance(v, float) else str(v)
 
 
 def parse_manifest(text: str) -> Manifest:
@@ -111,16 +107,12 @@ def parse_manifest(text: str) -> Manifest:
         if "=" not in line:
             raise ManifestError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, _, rhs = line.partition("=")
-        key = key.strip()
-        rhs = rhs.strip()
+        key, rhs = key.strip(), rhs.strip()
         if not key or not rhs:
             raise ManifestError(f"line {lineno}: empty key or value")
         if key in values:
             raise ManifestError(f"line {lineno}: duplicate key {key!r}")
-        if "," in rhs:
-            values[key] = tuple(_parse_scalar(t) for t in rhs.split(","))
-        else:
-            values[key] = _parse_scalar(rhs)
+        values[key] = tuple(map(_parse_scalar, rhs.split(","))) if "," in rhs else _parse_scalar(rhs)
     kind = values.pop("kind", None)
     if kind is None:
         raise ManifestError("manifest is missing the 'kind' key")
@@ -133,10 +125,7 @@ def serialize_manifest(m: Manifest) -> str:
     lines = [f"kind = {m.kind}"]
     for key in sorted(m.values):
         v = m.values[key]
-        if isinstance(v, tuple):
-            lines.append(f"{key} = {', '.join(_format_scalar(x) for x in v)}")
-        else:
-            lines.append(f"{key} = {_format_scalar(v)}")
+        lines.append(f"{key} = {', '.join(map(_format_scalar, v if isinstance(v, tuple) else (v,)))}")
     return "\n".join(lines) + "\n"
 
 
@@ -268,14 +257,20 @@ def _coerce(key: Key, value):
     raise AssertionError(key.typ)
 
 
+def _split_bound(key: Key):
+    """(least, bound): a list key's minimum length (None for a scalar) and its per-entry bound."""
+    least, _, bound = key.bound.removeprefix("len >= ").rpartition(", each ")
+    return (int(least) if least else None), bound
+
+
 def _check_bound(key: Key, value):
     """Return value if it lies within key.bound, entry by entry for a list."""
     if key.bound is None:
         return value
-    bound, items, each = key.bound, (value,), ""
-    if isinstance(value, tuple):
-        least, _, bound = bound.removeprefix("len >= ").partition(", each ")
-        if len(value) < int(least):
+    least, bound = _split_bound(key)
+    items, each = (value,), ""
+    if least is not None:
+        if len(value) < least:
             raise ManifestError(f"key {key.name!r}: expected at least {least} entries, got {len(value)}")
         items, each = value, "each "
     if not all(_within(bound, v) for v in items):
@@ -324,15 +319,16 @@ def _cross_validate(p: dict):
                             f"at d = {p['d']} is in a logarithmic regime, with no slope to check")
     if "f" in p:  # f pairs at every size, f2 at the largest
         sizes = p["n"] if isinstance(p["n"], tuple) else (p["n"],)
-        for name, n in (("f", min(sizes)), ("f2", max(sizes))):
+        for name, paired in (("f", sizes), ("f2", (max(sizes),))):
             if p.get(name) is None:
                 continue
-            wave = parse_test_function(p[name], p["d"]).modes[0][0]
-            if any(2 * abs(k) >= n for k in wave):
-                raise ManifestError(
-                    f"key {name!r}: the frequencies of {p[name]!r} must lie below n/2 = {n / 2:g}; "
-                    f"the n = {n} lattice aliases them"
-                )
+            wave, _, sine = parse_test_function(p[name], p["d"]).modes[0]
+            # on the n lattice a sine with every 2k = 0 mod n is zero, a cosine with every k = 0 mod n is constant
+            step = 2 if sine else 1
+            for n in paired:
+                if all(step * k % n == 0 for k in wave):
+                    raise ManifestError(f"key {name!r}: {p[name]!r} is {'zero' if sine else 'constant'} "
+                                        f"on the n = {n} lattice, so its pairing carries no signal")
     if "source" in p:
         _parse_obstacle_source(p["source"])
 
@@ -429,12 +425,16 @@ def _write_outputs(outdir: Path, sha: str, criteria, artifacts: dict):
 # Each runner returns (criteria, artifacts): artifacts maps file names, in
 # the order summary.txt lists them, to what _write_outputs writes there.
 
-@_experiment("topple", *_FIELD_KEYS)
-def _run_topple(p, workers):
+def _field_setup(p):
+    """The operator and the sampled initial configuration of topple and odometer."""
     shape = TorusShape(p["d"], p["n"])
     op = OperatorSpec(p["operator"], shape, alpha=p["alpha"])
-    sigma = sample_sigma(_sigma_spec(p, shape), shape, p["seed"])
-    config = make_initial_config(sigma)
+    return op, make_initial_config(sample_sigma(_sigma_spec(p, shape), shape, p["seed"]))
+
+
+@_experiment("topple", *_FIELD_KEYS)
+def _run_topple(p, workers):
+    op, config = _field_setup(p)
     mass_before = float(config.values.sum())
     final, report = stabilize(SandpileState.initial(op, config))
     mass_after = float(final.s.values.sum())
@@ -463,10 +463,7 @@ def _run_topple(p, workers):
 
 @_experiment("odometer", *_FIELD_KEYS)
 def _run_odometer(p, workers):
-    shape = TorusShape(p["d"], p["n"])
-    op = OperatorSpec(p["operator"], shape, alpha=p["alpha"])
-    sigma = sample_sigma(_sigma_spec(p, shape), shape, p["seed"])
-    config = make_initial_config(sigma)
+    op, config = _field_setup(p)
     u_direct, u_obstacle = odometer_routes(config, op)
     gap = float(np.max(np.abs(u_direct.values - u_obstacle.values)))
     artifacts = {"odometer.csv": (
@@ -694,7 +691,7 @@ def _run_rotor(p, workers):
 @_experiment("point-source",
              Key("mass", "float", required=True, bound=">= 0"),
              _D,
-             Key("tau", "float", default=1e-6, bound="> 0"),
+             Key("tau", "float", default=1e-6, bound=">= 0"),
              _BOX,
              Key("tol_deviation", "float", default=0.10),
              Key("tol_radius", "float", default=0.05),
@@ -800,15 +797,10 @@ def _run_density_probe(p, workers):
     expect = p["expect"]
     if expect == "auto":
         expect = "stabilize" if p["density"] < 1.0 else ("explode" if p["density"] > 1.0 else "none")
-    if expect == "stabilize":
-        ok = result.fraction_stabilized == 1.0
-        detail = f"stabilized fraction={result.fraction_stabilized:g} (expected 1)"
-    elif expect == "explode":
-        ok = result.fraction_stabilized == 0.0
-        detail = f"stabilized fraction={result.fraction_stabilized:g} (expected 0)"
-    else:
-        ok = True
-        detail = f"stabilized fraction={result.fraction_stabilized:g} (no expectation)"
+    want = {"stabilize": 1.0, "explode": 0.0}.get(expect)
+    ok = want is None or result.fraction_stabilized == want
+    detail = f"stabilized fraction={result.fraction_stabilized:g} " + (
+        "(no expectation)" if want is None else f"(expected {want:g})")
     return [CriterionResult("dichotomy", ok, detail)], artifacts
 
 

@@ -39,6 +39,7 @@ radius it would require.
 
 from __future__ import annotations
 
+import bisect
 import math
 from dataclasses import dataclass, field
 
@@ -119,13 +120,21 @@ def _ewald_log_tail_bound(d: int, alpha: float, rho: float) -> float:
 def _ewald_radius(d: int, alpha: float, tol: float) -> int:
     """Smallest image-shell radius R >= 3 whose dropped tail is at most tol / 2."""
     log_eps = math.log(tol) - math.log(2.0)
-    # Search one shell past the cap, so the error names the radius when it is that one.
-    radius = next((r for r in range(3, _EWALD_RADIUS_CAP + 2)
-                   if _ewald_log_tail_bound(d, alpha, r - 0.5) <= log_eps), None)
-    if radius is None or radius > _EWALD_RADIUS_CAP:
-        needed = "" if radius is None else f"of {radius}, "
+    radius = 3
+    while (tail := _ewald_log_tail_bound(d, alpha, radius - 0.5)) > log_eps:
+        if math.isfinite(tail):  # a finite bound falls by at least pi (2 rho + 1) / 2 a shell
+            radius += 1
+            continue
+        # Infinite until pi rho^2 passes about a - 1: bisect for the first finite shell.
+        shells = range(radius, 2**52)  # past 2^52, rho = R - 0.5 no longer tells shells apart
+        i = bisect.bisect(shells, False, key=lambda r: math.isfinite(_ewald_log_tail_bound(d, alpha, r - 0.5)))
+        if i == len(shells):
+            raise ValueError(f"alpha = {alpha:g} needs an image radius beyond 2^52, "
+                             f"far past the cap {_EWALD_RADIUS_CAP}")
+        radius = shells[i]
+    if radius > _EWALD_RADIUS_CAP:
         raise ValueError(
-            f"kernel tail tolerance {tol:g} at alpha = {alpha:g} needs an image radius {needed}beyond "
+            f"kernel tail tolerance {tol:g} needs an image radius of {radius}, beyond "
             f"the cap {_EWALD_RADIUS_CAP}; relax the tolerance"
         )
     return radius

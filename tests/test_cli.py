@@ -82,8 +82,9 @@ def test_regime_keys_default_only_under_their_regime():
 
 
 # Manifests that validate once accepted.  In run most crashed, hung or
-# ignored a key; the rest failed with an error.  Each is now rejected by
-# validate, with a message that names the key.
+# ignored a key; the rest failed with an error, or paired a test function
+# that is zero on the lattice and wrote a variance of 0.  Each is now
+# rejected by validate, with a message that names the key.
 NEWLY_REJECTED = [
     ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nsamples = 1\n", "key 'samples': expected samples >= 2"),
     ("kind = mean-odometer\nd = 2\nn = 8, 16\nsamples = 1\n", "key 'samples': expected samples >= 2"),
@@ -102,9 +103,13 @@ NEWLY_REJECTED = [
     ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0 1e-200\nsamples = 10\n", "'cos 1 0 1e-200' needs an amplitude"),
     ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0 -1e200\nsamples = 10\n", "'cos 1 0 -1e200' needs an amplitude"),
     ("kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1\nsamples = 10\n", "needs 2 integer frequencies"),
-    ("kind = charfun\nd = 1\nn = 2\nalpha = 1.0\nf = sin 1 0.5\nsamples = 15\n", "key 'f': .* below n/2 = 1;"),
-    ("kind = variance\nd = 2\nn = 4, 16\nf = cos 2 0\nsamples = 10\n", "key 'f': .* below n/2 = 2;"),
-    ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nf2 = sin 8 1\nsamples = 10\n", "key 'f2': .* below n/2 = 8;"),
+    ("kind = charfun\nd = 1\nn = 2\nalpha = 1.0\nf = sin 1 0.5\nsamples = 15\n",
+     "key 'f': 'sin 1 0.5' is zero on the n = 2 lattice"),
+    ("kind = charfun\nd = 1\nn = 8\nalpha = 1.0\nf = cos 8\nsamples = 10\n",
+     "key 'f': 'cos 8' is constant on the n = 8 lattice"),
+    ("kind = variance\nd = 2\nn = 8, 16\nf = sin 4 0\nsamples = 10\n", "key 'f': 'sin 4 0' is zero on the n = 8 lattice"),
+    ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nf2 = sin 8 0\nsamples = 10\n",
+     "key 'f2': 'sin 8 0' is zero on the n = 16 lattice"),
     ("kind = topple\nd = 3\nn = 4\nheatmap = true\n", "key 'heatmap' needs d = 2, got d = 3"),
     ("kind = odometer\nd = 1\nn = 8\nheatmap = true\n", "key 'heatmap' needs d = 2, got d = 1"),
     ("kind = idla\nparticles = 10\nd = 3\nheatmap = true\n", "key 'heatmap' needs d = 2"),
@@ -126,7 +131,6 @@ NEWLY_REJECTED = [
     ("kind = odometer\nd = 2\nn = 8\nsigma = pareto\npareto_index = 0\n",
      "key 'pareto_index': expected pareto_index > 0"),
     ("kind = topple\nd = 2\nn = 8\nsigma = pareto\n", "sigma = pareto requires key 'pareto_index'"),
-    ("kind = point-source\nmass = 10\nd = 1\ntau = 0\n", "key 'tau': expected tau > 0"),
 ]
 
 
@@ -168,7 +172,7 @@ def test_validate_cross_key_rules():
         ("kind = idla\nparticles = 10\nd = 2\nbox = -3\n", "key 'box': expected box >= 1"),
         ("kind = rotor\nparticles = 10\nd = 2\nbox = 0\n", "key 'box': expected box >= 1"),
         ("kind = point-source\nmass = 10\nd = 2\nbox = -3\n", "key 'box': expected box >= 1"),
-        ("kind = point-source\nmass = 10\nd = 2\ntau = -1\n", "key 'tau': expected tau > 0"),
+        ("kind = point-source\nmass = 10\nd = 2\ntau = -1\n", "key 'tau': expected tau >= 0"),
         ("kind = rotor\nparticles = 0\nd = 2\n", "key 'particles': expected particles >= 1"),
         ("kind = point-source\nmass = -1\nd = 2\n", "key 'mass': expected mass >= 0"),
         *NEWLY_REJECTED,
@@ -258,11 +262,22 @@ def test_run_rejects_growth_values_without_traceback(tmp_path, monkeypatch, caps
     assert not Path("outz").exists()
 
 
+def test_aliased_test_functions_that_pair_are_accepted():
+    # Frequencies at or past n/2 alias to a lower mode that still pairs with the field.
+    for text in (
+        "kind = charfun\nd = 1\nn = 8\nalpha = 1.0\nf = cos 4\nsamples = 10\n",
+        "kind = charfun\nd = 1\nn = 8\nalpha = 1.0\nf = sin 5\nsamples = 10\n",
+        "kind = variance\nd = 2\nn = 4, 16\nf = cos 2 0\nsamples = 10\n",
+        "kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nf2 = sin 8 1\nsamples = 10\n",
+    ):
+        validate_manifest(parse_manifest(text))
+
+
 def test_growth_key_bounds_are_accepted():
     for text in (
         "kind = idla\nparticles = 10\nd = 1\ntrials = 1\nbox = 1\n",
         "kind = rotor\nparticles = 10\nd = 3\nbox = 1\n",
-        "kind = point-source\nmass = 0\nd = 2\ntau = 1e-300\nbox = 1\n",
+        "kind = point-source\nmass = 0\nd = 2\ntau = 0\nbox = 1\n",
         "kind = obstacle-shape\nd = 1\nh = 0.1\nbox = 1.0\nsource = point 0.5\n",
     ):
         validate_manifest(parse_manifest(text))

@@ -28,14 +28,9 @@ ALWAYS_WRITTEN = {"quad_points", "trials"}
 TOLERANCES = st.sampled_from([-1.0, 0.0, 0.1, 10.0])
 
 
-def _least(key):
-    """The minimum length a list key's bound, ``len >= k, each ...``, sets."""
-    return int(key.bound.split(",")[0].removeprefix("len >= "))
-
-
 def _outside(key):
     """Scalars just outside key.bound: open ends, one past each end, 0, -1."""
-    bound = key.bound.rpartition("each ")[2]
+    _, bound = cli._split_bound(key)
     if bound[0] in "([":
         lo, hi = (float(v) for v in bound[1:-1].split(","))
         candidates = [lo, lo - 1, hi, hi + 1, 0.0, -1.0]
@@ -92,9 +87,9 @@ def _inside(key, d):
         return TOLERANCES
     one = table[name]
     if key.bound:
-        one = one.filter(lambda v: cli._within(key.bound.rpartition("each ")[2], v))
+        one = one.filter(lambda v: cli._within(cli._split_bound(key)[1], v))
     if key.typ in ("ints", "floats"):
-        return st.lists(one, min_size=_least(key), max_size=3)
+        return st.lists(one, min_size=cli._split_bound(key)[0], max_size=3)
     return one
 
 
@@ -106,7 +101,7 @@ def _value(draw, key, d, broken):
     bad = draw(st.sampled_from(_outside(key)))
     if not isinstance(value, list):
         return bad
-    least = _least(key)
+    least, _ = cli._split_bound(key)
     return value[: least - 1] if least > 1 and draw(st.booleans()) else value[:-1] + [bad]
 
 

@@ -178,11 +178,20 @@ def test_lr_kernel_unattainable_tolerance_names_the_radius():
 
 
 def test_lr_kernel_without_any_bounded_radius_fails_fast():
-    # At alpha = 1e300 the tail bound is infinite at every radius; the search
-    # stops one shell past the cap instead of stepping toward R ~ 1e149.
+    # At alpha = 1e300 the tail bound stays infinite out to R ~ 1e149; the
+    # search gives up past 2^52 shells instead of stepping toward it.
     started = time.monotonic()
-    with pytest.raises(ValueError, match="needs an image radius beyond the cap 16"):
+    with pytest.raises(ValueError, match=r"needs an image radius beyond 2\^52, far past the cap 16"):
         lr_kernel(TorusShape(1, 8), 1e300)
+    assert time.monotonic() - started < 1.0
+
+
+@pytest.mark.parametrize("alpha, radius", [(1800.0, 18), (1e4, 41), (1e20, 3989622291)])
+def test_lr_kernel_names_a_radius_past_the_cap(alpha, radius):
+    # the bound is infinite at R = 17 here; the radius is still found and named
+    started = time.monotonic()
+    with pytest.raises(ValueError, match=f"needs an image radius of {radius}, beyond the cap 16"):
+        lr_kernel(TorusShape(1, 8), alpha)
     assert time.monotonic() - started < 1.0
 
 
