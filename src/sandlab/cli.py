@@ -149,7 +149,8 @@ class Key:
 
     ``bound`` is written as in the README: ``>= 1``, ``> 0`` or an interval
     such as ``(0, 2]``.  A list key writes ``len >= k, each <bound>``: at
-    least k entries, each within the bound.  ``regime`` names the ``sigma``
+    least k entries, each within the bound; ``len >= k, distinct, each
+    <bound>`` also asks for no entry to repeat.  ``regime`` names the ``sigma``
     value that owns a noise key; under any other regime the key is rejected,
     under its own it is required or defaulted.  A schema lists ``sigma``
     before the keys it owns.
@@ -175,8 +176,8 @@ def _within(bound: str, x) -> bool:
 # Keys that several kinds share, declared once.
 _D = Key("d", "int", required=True, bound=">= 1")
 _N = Key("n", "int", required=True, bound=">= 2")
-_NS = Key("n", "ints", required=True, bound="len >= 2, each >= 2")
-_R = Key("r", "ints", required=True, bound="len >= 2, each >= 1")
+_NS = Key("n", "ints", required=True, bound="len >= 2, distinct, each >= 2")
+_R = Key("r", "ints", required=True, bound="len >= 2, distinct, each >= 1")
 _F = Key("f", "str", required=True)
 _SAMPLES = Key("samples", "int", required=True, bound=">= 2")
 _BOX = Key("box", "int", bound=">= 1")
@@ -258,20 +259,24 @@ def _coerce(key: Key, value):
 
 
 def _split_bound(key: Key):
-    """(least, bound): a list key's minimum length (None for a scalar) and its per-entry bound."""
-    least, _, bound = key.bound.removeprefix("len >= ").rpartition(", each ")
-    return (int(least) if least else None), bound
+    """(least, distinct, bound): a list key's minimum length (None for a
+    scalar), whether its entries must differ, and its per-entry bound."""
+    head, _, bound = key.bound.rpartition("each ")
+    least = head.removeprefix("len >= ").split(",")[0]
+    return (int(least) if head else None), "distinct" in head, bound
 
 
 def _check_bound(key: Key, value):
     """Return value if it lies within key.bound, entry by entry for a list."""
     if key.bound is None:
         return value
-    least, bound = _split_bound(key)
+    least, distinct, bound = _split_bound(key)
     items, each = (value,), ""
     if least is not None:
         if len(value) < least:
             raise ManifestError(f"key {key.name!r}: expected at least {least} entries, got {len(value)}")
+        if distinct and len(set(value)) < len(value):
+            raise ManifestError(f"key {key.name!r}: expected distinct entries, got {value!r}")
         items, each = value, "each "
     if not all(_within(bound, v) for v in items):
         where = "in " if bound[0] in "([" else ""

@@ -226,7 +226,15 @@ def run_variance_experiment(
 def _pairing_samples(
     spec: SigmaSpec, shape: TorusShape, seed: int, samples: int, ks: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Samples of <sigma, k> for each pairing vector k, from one pass over the chunks."""
+    """Samples of <sigma, k> for each pairing vector k, from one pass over the chunks.
+
+    Each product runs over a whole chunk, and unlike the mean-odometer solves
+    it is not split into sub-batches: the BLAS matrix-vector kernel sums a
+    row in an order that depends on how rows are grouped, so row groups that
+    are not a multiple of four change results in the last bits (at d = 2,
+    n = 16 to 64 with OpenBLAS 0.3.31, groups of 1, 3, 5 or 7 rows moved 38
+    to 241 of a chunk's 256 results by up to 2.4e-13).
+    """
     outs = [np.empty(samples) for _ in ks]
     done = 0
     chunk_index = 0
@@ -424,24 +432,34 @@ def mean_odometer_curve(
     return GrowthCurve(tuple(rows), slope, predicted, pred_vals)
 
 
+# Sites solved at once by _neg_min_eta_samples: the noise, its half spectrum
+# and the potentials of one sub-batch are all that is held at a time.
+SUB_BATCH_SITES = 1 << 20
+
+
 def _neg_min_eta_samples(op: OperatorSpec, samples: int, seed: int) -> np.ndarray:
     shape = op.shape
     spec = SigmaSpec.iid_gaussian()
     out = np.empty(samples)
-    done = 0
-    chunk_index = 0
-    # Cap the replicates drawn per chunk so the sigma block itself stays
-    # bounded in memory; a shorter draw is a prefix of the full chunk, so the
-    # fields consumed are still a function of (seed, chunk_index, row) only.
-    per = max(1, min(CHUNK_REPLICATES, (4_000_000 // shape.nsites) or 1))
-    while done < samples:
-        count = min(per, samples - done)
-        block = sigma_chunk(spec, shape, seed, chunk_index, count=count)
-        eta = eta_sample_batch(op, block)
-        out[done : done + eta.shape[0]] = -eta.reshape(eta.shape[0], -1).min(axis=1)
-        done += eta.shape[0]
-        chunk_index += 1
+    # Chunk c supplies replicates c * per .. c * per + per - 1 from the head
+    # of its stream; per caps the replicates a chunk is asked for at about
+    # 4,000,000 sites, which fixes the stream every replicate comes from.
+    per = min(CHUNK_REPLICATES, max(1, 4_000_000 // shape.nsites))
+    step = max(1, SUB_BATCH_SITES // shape.nsites)
+    for first in range(0, samples, per):
+        stop = min(first + per, samples)
+        for lo in range(first, stop, step):
+            hi = min(lo + step, stop)
+            out[lo:hi] = _neg_min_eta(op, spec, seed, first // per, lo - first, hi - lo)
     return out
+
+
+def _neg_min_eta(op: OperatorSpec, spec: SigmaSpec, seed: int, chunk_index: int,
+                 start: int, count: int) -> np.ndarray:
+    """-min eta of chunk positions start .. start + count - 1; its buffers die on return."""
+    block = sigma_chunk(spec, op.shape, seed, chunk_index, count=count, start=start)
+    eta = eta_sample_batch(op, block)
+    return -eta.reshape(count, -1).min(axis=1)
 
 
 def structure_prediction(kind: str, d: int, n: float, r: float, alpha: float | None = None) -> float:

@@ -1,13 +1,17 @@
 """Limit-law machinery: normalizations, pairings, experiments, asymptotics."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.special import ndtri
 
-from sandlab import TorusShape, LatticeField, OperatorSpec
+from sandlab import TorusShape, LatticeField, OperatorSpec, fieldstats
 from sandlab import TestFunction as Wave
+from sandlab._util import generator
 from sandlab.fieldstats import (
+    SUB_BATCH_SITES,
     CharfunExperiment,
     CharfunRow,
     ScalingMode,
@@ -27,8 +31,8 @@ from sandlab.fieldstats import (
     structure_prediction,
     variance_structure_curve,
 )
-from sandlab.odometer import eta_field
-from sandlab.sampling import SigmaSpec, make_initial_config, sigma_chunk
+from sandlab.odometer import eta_field, eta_sample_batch
+from sandlab.sampling import CHUNK_REPLICATES, SigmaSpec, make_initial_config, sigma_chunk
 
 
 FOUR_PI2 = 4.0 * math.pi**2
@@ -246,3 +250,51 @@ def test_mean_odometer_curve_d1_slope():
     assert curve.predicted_slope == 1.5
     assert abs(curve.slope - 1.5) < 0.15
     assert all(row.value.stderr > 0 for row in curve.rows)
+
+
+def whole_chunk_neg_min_eta(op, samples, seed):
+    """-min eta drawn and solved one whole capped chunk at a time, both uniform planes drawn."""
+    shape = op.shape
+    per = max(1, min(CHUNK_REPLICATES, 4_000_000 // shape.nsites))
+    out = np.empty(samples)
+    for chunk_index, first in enumerate(range(0, samples, per)):
+        count = min(per, samples - first)
+        u = generator(seed, 1, chunk_index).random((count, 2) + shape.dims)
+        white = ndtri(np.clip(u, 1e-15, float(np.nextafter(1.0, 0.0)))[:, 0])
+        eta = eta_sample_batch(op, white)
+        out[first : first + count] = -eta.reshape(count, -1).min(axis=1)
+    return out
+
+
+@pytest.mark.parametrize("kind, d, n, samples, alpha", [
+    ("nn", 3, 64, 20, None),   # chunks of 15 replicates, sub-batches of 4
+    ("nn", 2, 512, 9, None),   # one chunk of 9, sub-batches of 4
+    ("lr", 2, 300, 50, 1.0),   # chunks of 44, sub-batches of 11
+])
+def test_sub_batched_mean_odometer_equals_whole_chunks(kind, d, n, samples, alpha):
+    op = OperatorSpec(kind, TorusShape(d, n), alpha=alpha)
+    assert SUB_BATCH_SITES // op.shape.nsites < min(samples, 4_000_000 // op.shape.nsites)
+    want = whole_chunk_neg_min_eta(op, samples, 3)
+    assert np.array_equal(fieldstats._neg_min_eta_samples(op, samples, 3), want)
+
+
+@pytest.mark.parametrize("sub_batch_sites, samples", [(64, 300), (200, 259), (10_000, 513)])
+def test_sub_batch_boundaries_never_move_a_replicate(monkeypatch, sub_batch_sites, samples):
+    # Tiny sub-batches at d = 2 n = 8: one replicate, three, or a whole chunk
+    # at a time, with runs that end inside and just past a chunk.
+    op = OperatorSpec.nearest_neighbour(TorusShape(2, 8))
+    want = whole_chunk_neg_min_eta(op, samples, 5)
+    monkeypatch.setattr(fieldstats, "SUB_BATCH_SITES", sub_batch_sites)
+    assert np.array_equal(fieldstats._neg_min_eta_samples(op, samples, 5), want)
+
+
+def test_mean_odometer_memory_is_a_few_sub_batches():
+    # At d = 3 n = 64 a chunk holds 8 replicates here; drawing and solving it
+    # whole traced 51.5 MiB, one sub-batch at a time traces about 27 MiB.
+    tracemalloc.start()
+    try:
+        mean_odometer_curve("nn", 3, [32, 64], 8, seed=0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 4 * SUB_BATCH_SITES * 8

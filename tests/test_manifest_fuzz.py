@@ -1,7 +1,8 @@
 """Schema-driven manifest fuzzer: ``validate`` and ``run`` never raise or hang.
 
 Each key of a kind's schema is drawn inside its table bound or just outside
-it (the bound itself when it is open, one below it, 0, or a negative value).
+it (the bound itself when it is open, one below it, 0, or a negative value;
+a list too short, or with a repeated entry where entries must be distinct).
 Sizes stay tiny: d <= 3, at most 512 sites, 60 particles or mass units and
 20 samples, one worker.  Both verbs must exit 0, 1 or 2 without raising; a
 manifest that ``validate`` rejects must also fail ``run`` with exit 1; and
@@ -30,7 +31,7 @@ TOLERANCES = st.sampled_from([-1.0, 0.0, 0.1, 10.0])
 
 def _outside(key):
     """Scalars just outside key.bound: open ends, one past each end, 0, -1."""
-    _, bound = cli._split_bound(key)
+    _, _, bound = cli._split_bound(key)
     if bound[0] in "([":
         lo, hi = (float(v) for v in bound[1:-1].split(","))
         candidates = [lo, lo - 1, hi, hi + 1, 0.0, -1.0]
@@ -86,10 +87,12 @@ def _inside(key, d):
     if name.startswith("tol"):
         return TOLERANCES
     one = table[name]
-    if key.bound:
-        one = one.filter(lambda v: cli._within(cli._split_bound(key)[1], v))
+    if not key.bound:
+        return one
+    least, distinct, bound = cli._split_bound(key)
+    one = one.filter(lambda v: cli._within(bound, v))
     if key.typ in ("ints", "floats"):
-        return st.lists(one, min_size=cli._split_bound(key)[0], max_size=3)
+        return st.lists(one, min_size=least, max_size=3, unique=distinct)
     return one
 
 
@@ -101,8 +104,12 @@ def _value(draw, key, d, broken):
     bad = draw(st.sampled_from(_outside(key)))
     if not isinstance(value, list):
         return bad
-    least, _ = cli._split_bound(key)
-    return value[: least - 1] if least > 1 and draw(st.booleans()) else value[:-1] + [bad]
+    least, distinct, _ = cli._split_bound(key)
+    if least > 1 and draw(st.booleans()):
+        return value[: least - 1]
+    if distinct and draw(st.booleans()):
+        return value[:-1] + value[:1]
+    return value[:-1] + [bad]
 
 
 def _render(value):
@@ -197,5 +204,8 @@ def check_complete_run(p, out):
 @example(text="kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1 0\nsamples = 10\nt = 1e-20\nquad_points = 8\n")
 @example(text="kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0 1e-200\nsamples = 10\n")
 @example(text="kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0 1e200\nsamples = 10\n")
+@example(text="kind = mean-odometer\nd = 2\nn = 8, 8\nsamples = 4\n")
+@example(text="kind = variance-structure\nd = 2\nn = 8\nr = 1, 1\n")
+@example(text="kind = kernel-decay\nd = 3\nn = 8\noperator = lr\nalpha = 1.0\nr = 2, 1, 2\n")
 def test_any_manifest_exits_cleanly(text):
     check_manifest(text)

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
 from sandlab import TorusShape, LatticeField, sampling
 from sandlab._util import generator
@@ -218,3 +219,43 @@ def test_in_place_clip_leaves_every_draw_unchanged(spec):
         assert np.array_equal(sigma_chunk(spec, shape, 9, chunk_index, count=count), want)
     want = sampling._transform(spec, reference_uniforms(9, shape, 1, (0,)), shape)[0]
     assert np.array_equal(sample_sigma(spec, shape, 9).values, want)
+
+
+# Shapes whose site counts leave every remainder mod 4, so reads and skips
+# start and stop at every offset within a four-double Philox counter step.
+SHAPES = [TorusShape(1, 2), TorusShape(1, 3), TorusShape(1, 5), TorusShape(1, 8),
+          TorusShape(1, 10), TorusShape(2, 3), TorusShape(2, 4), TorusShape(3, 2),
+          TorusShape(3, 3), TorusShape(3, 5)]
+REGIMES = {
+    "iid-gaussian": lambda shape: SigmaSpec.iid_gaussian(),
+    "iid-uniform-centered": lambda shape: SigmaSpec.iid_uniform(),
+    "correlated-gaussian": lambda shape: SigmaSpec.correlated_gaussian(np.full(shape.dims, 0.3)),
+    "stable": lambda shape: SigmaSpec.stable(1.3, scale=0.5),
+    "stable-1": lambda shape: SigmaSpec.stable(1.0, scale=2.0),
+    "pareto": lambda shape: SigmaSpec.pareto(2.5),
+}
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(SHAPES), regime=st.sampled_from(sorted(REGIMES)),
+       chunk_index=st.integers(0, 3), start=st.integers(0, 12), count=st.integers(1, 6))
+@example(shape=TorusShape(1, 3), regime="pareto", chunk_index=0, start=0, count=3)
+@example(shape=TorusShape(1, 2), regime="iid-gaussian", chunk_index=0, start=1, count=4)
+@example(shape=TorusShape(3, 3), regime="stable-1", chunk_index=1, start=5, count=2)
+def test_skipping_draw_equals_the_two_plane_draw(shape, regime, chunk_index, start, count):
+    # Only the planes a regime reads are drawn and the rest of the stream is
+    # skipped, yet every variate equals the one the full two-plane draw gives.
+    spec = REGIMES[regime](shape)
+    full = reference_uniforms(9, shape, start + count, (1, chunk_index))
+    want = sampling._transform(spec, full, shape)[start:]
+    assert np.array_equal(sigma_chunk(spec, shape, 9, chunk_index, count=count, start=start), want)
+    want = sampling._transform(spec, reference_uniforms(9, shape, 1, (0,)), shape)[0]
+    assert np.array_equal(sample_sigma(spec, shape, 9).values, want)
+
+
+@pytest.mark.parametrize("regime, planes", [
+    ("iid-gaussian", 1), ("iid-uniform-centered", 1), ("correlated-gaussian", 1),
+    ("stable-1", 1), ("stable", 2), ("pareto", 2),
+])
+def test_each_regime_draws_only_the_planes_it_reads(regime, planes):
+    assert sampling._planes_read(REGIMES[regime](TorusShape(1, 4))) == planes
