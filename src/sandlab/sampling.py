@@ -13,9 +13,9 @@ bit-identical no matter how the surrounding code is threaded or chunked.
 The stream layout is two uniform planes per site, replicate after
 replicate, whatever the regime.  A regime whose transform reads only the
 first plane (Gaussian, uniform, correlated, and stable at alpha = 1) skips
-the second by advancing the Philox counter, as every reader skips the
-replicates before the ones it asks for; skipped draws are never computed,
-and the draws that are read sit where they always were.
+the second by advancing the Philox counter, and a reader that starts inside
+a chunk skips the replicates before it the same way.  Skipped draws are
+never computed, and every draw that is read keeps its stream position.
 """
 
 from __future__ import annotations

@@ -47,7 +47,7 @@ def reference_pairing_variance(op, f, khat):
 
 
 def reference_correlated_chunk(khat, shape, seed, chunk_index, count):
-    white = ndtri(_site_uniform_block(seed, shape, count, (1, chunk_index), 1)[:, 0])
+    white = ndtri(_site_uniform_block(seed, shape, count, (1, chunk_index), 2)[:, 0])
     axes = tuple(range(1, white.ndim))
     coeffs = np.fft.fftn(white, axes=axes) * np.sqrt(shape.nsites * khat)
     return np.fft.ifftn(coeffs, axes=axes).real
