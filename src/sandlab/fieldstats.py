@@ -523,9 +523,11 @@ def variance_structure_curve(
 def covariance_profile(kind: str, d: int, n: int, rs, alpha: float | None = None) -> np.ndarray:
     """Exact eta covariance at offsets r e1 under independent Gaussian noise.
 
-    Small grids go through the full covariance table; large nearest-neighbour
-    grids (high dimension) reduce over transverse frequencies axis by axis so
-    nothing of size n^d is ever materialized at once.
+    Small grids go through the full covariance table.  Large nearest-neighbour
+    grids (high dimension) sum 1/lambda^2 over the transverse frequencies one
+    first-axis frequency at a time, in a single preallocated n^(d-1) buffer
+    (add, scale, square and invert in place; the zero mode inverts to 0), so
+    nothing of size n^d is ever materialized and the loop allocates nothing.
     """
     shape = TorusShape(d, n)
     rs = [int(r) for r in rs]
@@ -537,12 +539,15 @@ def covariance_profile(kind: str, d: int, n: int, rs, alpha: float | None = None
             idx[axis] = slice(None)
             rest = rest + s1[tuple(idx)]
         sums = np.empty(n)
+        buf = np.empty_like(rest)
         for w1 in range(n):
-            lam = -(2.0 / d) * (s1[w1] + rest)
-            inv2 = np.zeros_like(lam)
-            mask = lam != 0.0
-            inv2[mask] = 1.0 / lam[mask] ** 2
-            sums[w1] = inv2.sum()
+            np.add(rest, s1[w1], out=buf)
+            np.multiply(buf, 2.0 / d, out=buf)  # |lambda|; its sign drops out when squared
+            np.square(buf, out=buf)
+            if w1 == 0:
+                buf.flat[0] = np.inf  # the zero mode, the only zero of lambda: 1/inf = 0
+            np.reciprocal(buf, out=buf)
+            sums[w1] = buf.sum()
         phases = np.cos(2.0 * np.pi * np.outer(rs, np.arange(n)) / n)
         # Mode weight 1/nsites, matching eta_covariance_exact for white noise.
         return (phases @ sums) / shape.nsites

@@ -21,7 +21,8 @@ Fields are real and both generators are even, so every spectral table is
 Hermitian: its values at -w are those at w.  The inverse symbol is therefore
 kept on the half grid of ``scipy.fft.rfftn`` (last axis cut to n//2 + 1
 columns), and solves run as ``rfftn`` -> multiply -> ``irfftn``.  The full
-eigenvalue table stays public for callers that index the whole grid.
+eigenvalue table stays public for callers that index the whole grid; it is
+computed on each request and not cached.
 
 The folded kernel is evaluated by an Ewald split of the lattice sum: a
 Gaussian-damped real-space part plus a Gaussian-damped frequency part, both of
@@ -35,6 +36,12 @@ shells up to R, which contains the ball of radius rho.  ``_ewald_log_tail_bound`
 bounds what both parts drop beyond rho, and R is the smallest radius whose
 bound is at most half the tolerance; an unattainable tolerance raises with the
 radius it would require.
+
+The folded kernel is invariant under the lattice symmetries of the torus, the
+axis permutations and the reflections x_i -> -x_i mod n.  Both Ewald parts are
+therefore taken at one site per symmetry orbit (969 of 32,768 sites at d = 3,
+n = 32) and copied to the rest of the orbit, so the table is exactly
+symmetric, not just up to rounding.
 """
 
 from __future__ import annotations
@@ -151,6 +158,13 @@ def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTab
         normalization: the image radius is the smallest whose proven tail
         bound (``_ewald_log_tail_bound``) is at most tol / 2.  Normalization
         afterwards makes the total mass exactly one in floating point.
+
+    Both Ewald halves are evaluated once per orbit of the lattice symmetries
+    (axis permutations and torus reflections), at the orbit's first site in
+    FFT order, and the table is filled from those values.  Every site keeps
+    the same image points as a site-by-site evaluation would; only the order
+    of rounding changes, and the returned ``p`` equals its axis permutations
+    and its reflection x -> -x exactly.
     """
     if not (alpha > 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -161,42 +175,51 @@ def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTab
     radius = _ewald_radius(d, alpha, tol)
     rho2 = (radius - 0.5) ** 2
 
+    # Orbits of the lattice symmetries.  The folded kernel is unchanged by axis
+    # permutations and by the torus reflections x_i -> -x_i mod n, so a site's
+    # value depends only on its sorted |centred| coordinates.  Each orbit is
+    # keyed by those coordinates read as base-(n//2 + 1) digits; its first
+    # site in FFT order represents it, and ``orbit`` maps every site back.
+    centered = frequency_grid(shape).reshape(d, -1)
+    code = np.zeros(shape.nsites, dtype=np.int64)
+    for digit in np.sort(np.abs(centered), axis=0):
+        code = code * (n // 2 + 1) + digit
+    _, first, orbit = np.unique(code, return_index=True, return_inverse=True)
+    reps = centered[:, first].astype(np.float64)
+
     # Real-space half: sum Gaussian-damped power-law terms over the image
-    # points within rho of the origin, around the centered residue
-    # representative of each site.  Shells are visited in the cube's order so
-    # that the kept terms add up in a fixed order.
-    axes = [((np.arange(n) + n // 2) % n) - n // 2 for _ in range(d)]
-    centered = np.stack(np.meshgrid(*axes, indexing="ij"), axis=0).astype(np.float64)
-    real_part = np.zeros(shape.dims)
+    # points within rho of the origin, around each representative.  Shells are
+    # visited in the cube's order so that the kept terms add up in a fixed
+    # order.
+    real_part = np.zeros(first.size)
     shifts = np.meshgrid(*[np.arange(-radius, radius + 1)] * d, indexing="ij")
     shifts = np.stack([a.ravel() for a in shifts], axis=-1)
     gaps = np.maximum(np.abs(shifts) - 0.5, 0.0)
     # a shell whose whole cell lies beyond rho holds no point to keep
     for k in shifts[np.sum(gaps * gaps, axis=1) <= rho2]:
-        z = centered + (n * k.astype(np.float64)).reshape((d,) + (1,) * d)
+        z = reps + n * k.astype(np.float64)[:, None]
         r2 = np.sum((z / n) ** 2, axis=0)
         near = (r2 > 0) & (r2 <= rho2)
         r2 = r2[near]
         real_part[near] += gammaincc(s_exp / 2.0, np.pi * r2) * r2 ** (-s_exp / 2.0)
 
-    # Frequency half: Gaussian-damped dual sum, folded onto the FFT grid and
-    # evaluated for every residue through one inverse transform.
+    # Frequency half: Gaussian-damped dual sum over every nonzero shell of the
+    # cube, folded onto the FFT grid in the cube's order and evaluated for
+    # every residue through one inverse transform, then read at the
+    # representatives so that the two halves share one value per orbit.
     prefactor = np.pi ** (s_exp / 2.0) / gamma_fn(s_exp / 2.0)
-    coeff_grid = np.zeros(shape.dims, dtype=np.complex128)
-    for m in shifts:
-        if np.all(m == 0):
-            continue
-        m2 = float(np.dot(m, m))
-        cm = (np.pi * m2) ** (alpha / 2.0) * _upper_gamma(-alpha / 2.0, np.array(np.pi * m2))
-        coeff_grid[tuple(np.mod(m, n))] += cm
-    dual_part = (np.fft.ifftn(coeff_grid).real * shape.nsites + 2.0 / alpha) * prefactor
-    dual_part = dual_part - np.where(
-        np.sum(centered**2, axis=0) == 0, prefactor * 2.0 / s_exp, 0.0
-    )
+    shells = shifts[np.any(shifts != 0, axis=1)]
+    pi_m2 = np.pi * np.sum(shells * shells, axis=1).astype(np.float64)
+    coeff_grid = np.zeros(shape.dims)
+    coeffs = pi_m2 ** (alpha / 2.0) * _upper_gamma(-alpha / 2.0, pi_m2)
+    np.add.at(coeff_grid, tuple(np.mod(shells, n).T), coeffs)  # unbuffered: adds in the cube's order
+    dual_part = (np.fft.ifftn(coeff_grid).real.ravel()[first] * shape.nsites + 2.0 / alpha) * prefactor
+    dual_part[0] -= prefactor * 2.0 / s_exp  # orbit 0 is the origin alone
 
     raw = (real_part + dual_part) * float(n) ** (-s_exp)
-    if np.any(raw <= 0):
-        raise ValueError("kernel evaluation produced a non-positive entry")
+    if not np.all((raw > 0) & (raw < np.inf)):
+        raise ValueError("kernel evaluation produced a non-positive or non-finite entry")
+    raw = raw[orbit].reshape(shape.dims)
     p = raw / raw.sum()
     return KernelTable(shape, p, alpha, tol, radius * n)
 
@@ -295,12 +318,13 @@ class BufferedGenerator:
 class OperatorSpec:
     """Chosen generator, nearest-neighbour or long-range, with its cached tables.
 
-    Everything spectral goes through two cached tables: the eigenvalues
-    lambda on the full transform grid, and the inverse symbol -1/lambda (zero
-    at lambda = 0) on the half grid of ``scipy.fft.rfftn``, n^(d-1) * (n//2 + 1)
-    entries.  The half grid suffices because lambda is real and even, so a
-    real field's transform at -w is the conjugate of that at w.  The generator
-    itself is applied by ``BufferedGenerator``, its only implementation.
+    Everything spectral goes through one cached table, the inverse symbol
+    -1/lambda (zero at lambda = 0) on the half grid of ``scipy.fft.rfftn``,
+    n^(d-1) * (n//2 + 1) entries.  The half grid suffices because lambda is
+    real and even, so a real field's transform at -w is the conjugate of that
+    at w.  The full eigenvalue table is built from the (cached) kernel when
+    asked for and not kept.  The generator itself is applied by
+    ``BufferedGenerator``, its only implementation.
     The long-range kernel cuts its real-space Ewald sum at a sphere whose
     dropped tail is provably below half of ``tol`` (see ``lr_kernel``).
     """
@@ -309,7 +333,6 @@ class OperatorSpec:
     shape: TorusShape
     alpha: float | None = None
     tol: float = 1e-10
-    _eig: EigenvalueTable | None = field(default=None, repr=False, compare=False)
     _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _kernel: KernelTable | None = field(default=None, repr=False, compare=False)
 
@@ -335,12 +358,10 @@ class OperatorSpec:
         return self._kernel
 
     def eigenvalues(self) -> EigenvalueTable:
-        if self._eig is None:
-            if self.kind == "nn":
-                self._eig = nn_eigenvalues(self.shape)
-            else:
-                self._eig = lr_eigenvalues(self.kernel())
-        return self._eig
+        """The full eigenvalue table, computed afresh on every call (not cached)."""
+        if self.kind == "nn":
+            return nn_eigenvalues(self.shape)
+        return lr_eigenvalues(self.kernel())
 
     def inverse_symbol(self) -> np.ndarray:
         """-1/lambda on the rfftn half grid, and 0 where lambda is 0 (the zero mode)."""

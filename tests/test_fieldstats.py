@@ -17,6 +17,7 @@ from sandlab.fieldstats import (
     ScalingMode,
     charfun_continuum_integral,
     covariance_decay_slope,
+    covariance_profile,
     exact_pairing_variance,
     gaussian_calibration,
     hurst_classify,
@@ -31,7 +32,7 @@ from sandlab.fieldstats import (
     structure_prediction,
     variance_structure_curve,
 )
-from sandlab.odometer import eta_field, eta_sample_batch
+from sandlab.odometer import eta_covariance_exact, eta_field, eta_sample_batch
 from sandlab.sampling import CHUNK_REPLICATES, SigmaSpec, make_initial_config, sigma_chunk
 
 
@@ -215,6 +216,36 @@ def test_covariance_decay_valid_and_flagged():
     lr_bad = covariance_decay_slope("lr", 3, 16, (1, 2, 3), alpha=2.5)
     assert not lr_bad.valid
     assert "alpha" in lr_bad.reason
+
+
+def frozen_large_grid_nn_profile(d, n, rs):
+    """The nearest-neighbour large-grid loop of ``covariance_profile`` as first
+    written: fresh arrays and a boolean mask for each first-axis frequency."""
+    s1 = np.sin(np.pi * np.arange(n) / n) ** 2
+    rest = np.zeros((n,) * (d - 1))
+    for axis in range(d - 1):
+        idx = [None] * (d - 1)
+        idx[axis] = slice(None)
+        rest = rest + s1[tuple(idx)]
+    sums = np.empty(n)
+    for w1 in range(n):
+        lam = -(2.0 / d) * (s1[w1] + rest)
+        inv2 = np.zeros_like(lam)
+        mask = lam != 0.0
+        inv2[mask] = 1.0 / lam[mask] ** 2
+        sums[w1] = inv2.sum()
+    phases = np.cos(2.0 * np.pi * np.outer(rs, np.arange(n)) / n)
+    return (phases @ sums) / n**d
+
+
+def test_large_grid_nn_covariance_profile():
+    # 20^5 = 3.2M sites takes the in-place branch (above 2e6 sites).
+    d, n, rs = 5, 20, [0, 1, 2, 3, 10]
+    got = covariance_profile("nn", d, n, rs)
+    assert np.array_equal(got, frozen_large_grid_nn_profile(d, n, rs))
+    table = eta_covariance_exact(OperatorSpec("nn", TorusShape(d, n))).values.values
+    want = np.array([table[(r,) + (0,) * (d - 1)] for r in rs])
+    assert np.max(np.abs(got - want) / want) <= 1e-13
 
 
 def test_hurst_classification_frozen_cases():

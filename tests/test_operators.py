@@ -1,13 +1,15 @@
 """Generators: spectral tables, folded kernels, Poisson solves."""
 
+import itertools
 import time
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings, strategies as st
 from scipy.special import gamma as gamma_fn, gammaincc
 
 from sandlab import TorusShape, LatticeField, OperatorSpec, solve_poisson, power_law_multiplier
-from sandlab.lattice import dft
+from sandlab.lattice import _reverse_indices, dft
 from sandlab.operators import (
     EigenvalueTable,
     _ewald_log_tail_bound,
@@ -134,6 +136,29 @@ def test_spherical_lr_kernel_matches_cube_loop(d, n, alpha):
     got = lr_kernel(shape, alpha, tol=1e-13).p
     want = cube_lr_kernel(shape, alpha, 1e-13)
     assert np.max(np.abs(got - want) / want) <= 1e-14
+
+
+@settings(max_examples=60, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(2, 9), alpha=st.floats(1e-300, 3.0))
+@example(d=3, n=2, alpha=3.0)
+@example(d=3, n=8, alpha=0.5)
+@example(d=2, n=9, alpha=1.0)
+def test_lr_kernel_is_exactly_symmetric(d, n, alpha):
+    # One evaluation per symmetry orbit: the table equals its images under
+    # every axis permutation and torus reflection bit for bit.
+    p = lr_kernel(TorusShape(d, n), alpha).p
+    for perm in itertools.permutations(range(d)):
+        assert np.array_equal(p, np.transpose(p, perm))
+    for axis in range(d):
+        assert np.array_equal(p, np.roll(np.flip(p, axis=axis), 1, axis=axis))
+    assert np.array_equal(p, _reverse_indices(p))
+
+
+def test_lr_kernel_refuses_a_non_finite_table():
+    # alpha this small overflows the frequency half's 2 / alpha term; the
+    # table would be NaN after normalization.
+    with pytest.raises(ValueError, match="non-finite"):
+        lr_kernel(TorusShape(2, 5), 1e-308)
 
 
 def dropped_tails(d: int, n: int, alpha: float, radius: int, extra: int = 4) -> np.ndarray:
