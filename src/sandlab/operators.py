@@ -175,11 +175,9 @@ def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTab
     radius = _ewald_radius(d, alpha, tol)
     rho2 = (radius - 0.5) ** 2
 
-    # Orbits of the lattice symmetries.  The folded kernel is unchanged by axis
-    # permutations and by the torus reflections x_i -> -x_i mod n, so a site's
-    # value depends only on its sorted |centred| coordinates.  Each orbit is
-    # keyed by those coordinates read as base-(n//2 + 1) digits; its first
-    # site in FFT order represents it, and ``orbit`` maps every site back.
+    # A symmetry orbit is keyed by its sites' sorted |centered| coordinates,
+    # read as base-(n//2 + 1) digits; its first site in FFT order represents
+    # it, and ``orbit`` maps every site back.
     centered = frequency_grid(shape).reshape(d, -1)
     code = np.zeros(shape.nsites, dtype=np.int64)
     for digit in np.sort(np.abs(centered), axis=0):
