@@ -1,6 +1,6 @@
 """Numerical laboratory for divisible sandpile models on the discrete torus.
 
-Submodules: lattice (torus geometry and transforms), operators (graph
+Submodules: lattice (torus geometry and frequency tables), operators (graph
 Laplacians and spectral solves), sampling (initial-configuration noise),
 toppling (stabilization dynamics), odometer (closed-form odometers and
 covariances), fieldstats (scaling-limit experiments), testfun (trigonometric
@@ -9,7 +9,7 @@ predictor), fieldio (snapshots and images), cli (manifest runner).
 """
 
 from .cli import VERSION as __version__
-from .lattice import LatticeField, SpectralField, TorusShape, cell_integral, dft, idft
+from .lattice import LatticeField, TorusShape
 from .operators import OperatorSpec, power_law_multiplier, solve_poisson
 from .sampling import SigmaSpec, make_initial_config, sample_sigma
 from .testfun import TestFunction
@@ -18,7 +18,6 @@ from .odometer import (
     eta_covariance_exact,
     eta_field,
     odometer_spectral,
-    torus_obstacle_odometer,
 )
 from .fieldstats import (
     ScalingMode,
@@ -43,17 +42,13 @@ __all__ = [
     "SandpileState",
     "ScalingMode",
     "SigmaSpec",
-    "SpectralField",
     "TestFunction",
     "TorusShape",
-    "cell_integral",
     "continuum_obstacle_solve",
     "density_probe",
-    "dft",
     "eta_covariance_exact",
     "eta_field",
     "hurst_classify",
-    "idft",
     "idla_aggregate",
     "make_initial_config",
     "odometer_spectral",
@@ -66,5 +61,4 @@ __all__ = [
     "shape_metrics",
     "solve_poisson",
     "stabilize",
-    "torus_obstacle_odometer",
 ]

@@ -1,4 +1,5 @@
-"""Shared helpers: deterministic RNG streams, ordered parallel map, fits."""
+"""Shared helpers: deterministic RNG streams, ordered parallel map, fits,
+per-axis sums."""
 
 from __future__ import annotations
 
@@ -50,3 +51,17 @@ def loglog_slope(x, y) -> float:
     if np.any(x <= 0) or np.any(y <= 0):
         raise ValueError("log-log fit needs strictly positive data")
     return float(np.polyfit(np.log(x), np.log(y), 1)[0])
+
+
+def axis_sum(a: np.ndarray, d: int) -> np.ndarray:
+    """The (len(a),) * d array of a[x_0] + ... + a[x_(d-1)].
+
+    The axes are added in order onto zeros, so every table built from it
+    rounds the same way as the per-axis loops it replaced.
+    """
+    out = np.zeros((a.size,) * d)
+    for axis in range(d):
+        idx = [None] * d
+        idx[axis] = slice(None)
+        out += a[tuple(idx)]
+    return out

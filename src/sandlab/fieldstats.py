@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from ._util import loglog_slope, parallel_map
+from ._util import axis_sum, loglog_slope, parallel_map
 from .lattice import (
     LatticeField,
     TorusShape,
@@ -88,7 +88,7 @@ def scaling_constant(mode: ScalingMode, shape: TorusShape) -> float:
 
 
 def pair_field(u: LatticeField, f: TestFunction) -> float:
-    """Pairing sum_z u(z) * cell_integral(f, z); kills constants exactly."""
+    """Pairing sum_z u(z) * (integral of f over the cell of z); kills constants exactly."""
     c = cell_integral_field(f, u.shape)
     return float(np.dot(u.ravel(), c.ravel()))
 
@@ -533,11 +533,7 @@ def covariance_profile(kind: str, d: int, n: int, rs, alpha: float | None = None
     rs = [int(r) for r in rs]
     if kind == "nn" and shape.nsites > 2_000_000:
         s1 = np.sin(np.pi * np.arange(n) / n) ** 2
-        rest = np.zeros((n,) * (d - 1))
-        for axis in range(d - 1):
-            idx = [None] * (d - 1)
-            idx[axis] = slice(None)
-            rest = rest + s1[tuple(idx)]
+        rest = axis_sum(s1, d - 1)
         sums = np.empty(n)
         buf = np.empty_like(rest)
         for w1 in range(n):
@@ -551,7 +547,7 @@ def covariance_profile(kind: str, d: int, n: int, rs, alpha: float | None = None
         phases = np.cos(2.0 * np.pi * np.outer(rs, np.arange(n)) / n)
         # Mode weight 1/nsites, matching eta_covariance_exact for white noise.
         return (phases @ sums) / shape.nsites
-    table = eta_covariance_exact(OperatorSpec(kind, shape, alpha=alpha)).values.values
+    table = eta_covariance_exact(OperatorSpec(kind, shape, alpha=alpha)).values
     out = []
     for r in rs:
         idx = tuple([int(r) % n] + [0] * (d - 1))

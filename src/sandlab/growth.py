@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.fft
 
-from ._util import generator
+from ._util import axis_sum, generator
 
 
 def ball_volume_constant(d: int) -> float:
@@ -335,13 +335,8 @@ def shape_metrics(agg: AggregateSet, predicted_radius: float) -> ShapeMetrics:
     """
     if agg.count == 0:
         raise ValueError("aggregate is empty")
-    side = 2 * agg.radius + 1
-    axis = np.arange(side) - agg.radius
-    norm2 = np.zeros((side,) * agg.d)
-    for k in range(agg.d):
-        idx = [None] * agg.d
-        idx[k] = slice(None)
-        norm2 = norm2 + axis[tuple(idx)].astype(np.float64) ** 2
+    axis = (np.arange(2 * agg.radius + 1) - agg.radius).astype(np.float64)
+    norm2 = axis_sum(axis**2, agg.d)
     occ_norms = norm2[agg.occupied]
     free_norms = norm2[~agg.occupied]
     outradius = float(np.sqrt(occ_norms.max()))
@@ -357,7 +352,11 @@ def shape_metrics(agg: AggregateSet, predicted_radius: float) -> ShapeMetrics:
 
 @dataclass(frozen=True)
 class ObstacleSolution:
-    """Obstacle-problem output on a grid of spacing h."""
+    """Obstacle-problem output on a grid of spacing h.
+
+    ``symmetries`` lists the signed axis permutations (perm, signs), other
+    than the identity, that map the source onto itself.
+    """
 
     h: float
     gamma: np.ndarray
@@ -365,6 +364,7 @@ class ObstacleSolution:
     occupied: np.ndarray
     iterations: int
     residual: float
+    symmetries: tuple
 
     @property
     def d(self) -> int:
@@ -377,9 +377,14 @@ class ObstacleSolution:
         radius = (self.gamma.shape[0] - 1) // 2
         return AggregateSet(self.d, radius, self.occupied)
 
+    def is_symmetric(self) -> bool:
+        """Whether the occupied set equals its image under every symmetry of the source."""
+        occ = self.occupied
+        return all(np.array_equal(_apply_symmetry(occ, *g), occ) for g in self.symmetries)
+
 
 def _dirichlet_poisson(rhs: np.ndarray) -> np.ndarray:
-    """Solve the zero-boundary problem (neighbour average - identity) g = rhs.
+    """Solve the zero-boundary problem (neighbour average - identity) g = rhs on a cube.
 
     Sine-transform diagonalization on the interior nodes; the result is
     embedded back into the full grid with zeros on the outer ring.
@@ -388,26 +393,13 @@ def _dirichlet_poisson(rhs: np.ndarray) -> np.ndarray:
     interior = tuple(slice(1, -1) for _ in range(d))
     inner = rhs[interior]
     coeffs = scipy.fft.dstn(inner, type=1)
-    lam = np.zeros(inner.shape)
-    for axis, m in enumerate(inner.shape):
-        j = np.arange(1, m + 1)
-        per_axis = np.cos(np.pi * j / (m + 1)) - 1.0
-        idx = [None] * d
-        idx[axis] = slice(None)
-        lam = lam + per_axis[tuple(idx)]
+    m = inner.shape[0]
+    lam = axis_sum(np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 1.0, d)
     lam /= d
     coeffs /= lam
     out = np.zeros_like(rhs)
     out[interior] = scipy.fft.idstn(coeffs, type=1)
     return out
-
-
-def _signed_permutations(d: int):
-    """Every signed axis permutation of the d-cube except the identity."""
-    for perm in itertools.permutations(range(d)):
-        for signs in itertools.product((1, -1), repeat=d):
-            if perm != tuple(range(d)) or any(s < 0 for s in signs):
-                yield perm, signs
 
 
 def _apply_symmetry(arr: np.ndarray, perm, signs) -> np.ndarray:
@@ -418,21 +410,29 @@ def _apply_symmetry(arr: np.ndarray, perm, signs) -> np.ndarray:
     return out
 
 
-def _symmetrize_like_source(field: np.ndarray, source: np.ndarray) -> np.ndarray:
-    """Average the field over every lattice symmetry fixing the source.
+def _source_symmetries(source: np.ndarray) -> tuple:
+    """Every signed axis permutation (perm, signs) except the identity that fixes the source."""
+    d = source.ndim
+    found = []
+    for perm in itertools.permutations(range(d)):
+        for signs in itertools.product((1, -1), repeat=d):
+            identity = perm == tuple(range(d)) and -1 not in signs
+            if not identity and np.array_equal(_apply_symmetry(source, perm, signs), source):
+                found.append((perm, signs))
+    return tuple(found)
+
+
+def _symmetrize_like_source(field: np.ndarray, symmetries: tuple) -> np.ndarray:
+    """Average the field over the lattice symmetries that fix the source.
 
     The averaged entries differ from the raw solve only by rounding noise,
     and the output then commutes bit for bit with those symmetries, which the
     monotone iteration preserves because its neighbour sums are grouped by
     axis and floating addition commutes.
     """
-    stack = [field]
-    for perm, signs in _signed_permutations(field.ndim):
-        if np.array_equal(_apply_symmetry(source, perm, signs), source):
-            stack.append(_apply_symmetry(field, perm, signs))
-    if len(stack) == 1:
+    if not symmetries:
         return field
-    return np.mean(stack, axis=0)
+    return np.mean([field] + [_apply_symmetry(field, *g) for g in symmetries], axis=0)
 
 
 def continuum_obstacle_solve(
@@ -461,13 +461,10 @@ def continuum_obstacle_solve(
         raise ValueError("source support must sit strictly inside the box")
     radius = (side - 1) // 2
     axis = (np.arange(side) - radius).astype(np.float64)
-    norm2 = np.zeros((side,) * d)
-    for k in range(d):
-        idx = [None] * d
-        idx[k] = slice(None)
-        norm2 = norm2 + axis[tuple(idx)] ** 2
+    norm2 = axis_sum(axis**2, d)
+    symmetries = _source_symmetries(source)
     potential = _dirichlet_poisson(h * h * source)
-    gamma = -(h * h) * norm2 + _symmetrize_like_source(potential, source)
+    gamma = -(h * h) * norm2 + _symmetrize_like_source(potential, symmetries)
 
     stop = 1e-10 * float(np.max(np.abs(gamma)))
     v = np.full_like(gamma, float(gamma.max()))
@@ -502,7 +499,7 @@ def continuum_obstacle_solve(
         v_inner[...] = candidate
         if residual < stop:
             occupied = v > gamma + 10.0 * stop
-            return ObstacleSolution(float(h), gamma, v, occupied, it, residual)
+            return ObstacleSolution(float(h), gamma, v, occupied, it, residual, symmetries)
     raise RuntimeError(
         f"obstacle iteration did not converge in {iteration_limit} sweeps; last residual {residual:.3e}"
     )

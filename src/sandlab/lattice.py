@@ -1,14 +1,11 @@
-"""Geometry and Fourier analysis on the d-dimensional discrete torus.
+"""Geometry and frequency tables on the d-dimensional discrete torus.
 
 Sites live on the grid {0, ..., n-1}^d with periodic wrap-around.  A real
 field assigns one float per site, stored as a d-dimensional array in row-major
-order so that ``values.ravel()`` is the canonical site enumeration.  The
-transform pair used throughout the package is
-
-    fhat(w) = n^-d * sum_z f(z) exp(-2*pi*i*z.w/n)
-    f(z)    = sum_w fhat(w) exp(+2*pi*i*z.w/n)
-
-which makes Parseval read ``n^-d * sum |f|^2 = sum |fhat|^2``.
+order so that ``values.ravel()`` is the canonical site enumeration.  Spectral
+tables are indexed like the FFT grid; the transforms themselves are the
+unnormalized forward FFTs of numpy and scipy (the inverse carries the n^-d),
+taken where they are used.
 """
 
 from __future__ import annotations
@@ -17,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._util import axis_sum
 from .testfun import TestFunction
 
 
@@ -40,14 +38,6 @@ class TorusShape:
     @property
     def nsites(self) -> int:
         return self.n**self.d
-
-
-def wrap_coord(x, shape: TorusShape) -> tuple[int, ...]:
-    """Reduce an integer coordinate vector to canonical residues 0..n-1."""
-    x = np.asarray(x, dtype=np.int64)
-    if x.shape != (shape.d,):
-        raise ValueError(f"coordinate has shape {x.shape}, expected ({shape.d},)")
-    return tuple(int(v) for v in np.mod(x, shape.n))
 
 
 @dataclass(frozen=True)
@@ -74,22 +64,6 @@ class LatticeField:
         return self.values.ravel()
 
 
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients of a field, indexed like the FFT grid."""
-
-    shape: TorusShape
-    coeffs: np.ndarray
-
-    def __post_init__(self):
-        c = np.asarray(self.coeffs, dtype=np.complex128)
-        if c.shape != self.shape.dims:
-            raise ValueError(f"coeffs have shape {c.shape}, expected {self.shape.dims}")
-        if not np.all(np.isfinite(c)):
-            raise ValueError("spectral coefficients must be finite")
-        object.__setattr__(self, "coeffs", c)
-
-
 def frequency_axes(shape: TorusShape) -> list[np.ndarray]:
     """Centered integer frequency per FFT index along one axis, repeated per axis.
 
@@ -109,19 +83,8 @@ def frequency_grid(shape: TorusShape) -> np.ndarray:
 
 def frequency_norm2(shape: TorusShape) -> np.ndarray:
     """Squared Euclidean norm of the centered frequency at each FFT index."""
-    axes = frequency_axes(shape)
-    out = np.zeros(shape.dims)
-    for i, w in enumerate(axes):
-        idx = [None] * shape.d
-        idx[i] = slice(None)
-        out = out + (w.astype(np.float64) ** 2)[tuple(idx)]
-    return out
-
-
-def dft(f: LatticeField) -> SpectralField:
-    """Forward transform with the n^-d prefactor."""
-    coeffs = np.fft.fftn(f.values) / f.shape.nsites
-    return SpectralField(f.shape, coeffs)
+    w = frequency_axes(shape)[0].astype(np.float64)
+    return axis_sum(w**2, shape.d)
 
 
 def _reverse_indices(c: np.ndarray) -> np.ndarray:
@@ -132,50 +95,13 @@ def _reverse_indices(c: np.ndarray) -> np.ndarray:
     return out
 
 
-def idft(F: SpectralField, tol: float = 1e-9) -> LatticeField:
-    """Inverse transform onto a real field.
-
-    Raises ValueError if the coefficients are not Hermitian symmetric
-    (conj(F(w)) must equal F(-w)), since the result would not be real.
-    """
-    c = F.coeffs
-    scale = np.max(np.abs(c)) if c.size else 0.0
-    mismatch = np.max(np.abs(np.conj(_reverse_indices(c)) - c)) if c.size else 0.0
-    if mismatch > tol * max(scale, 1.0):
-        raise ValueError(
-            "spectrum is not Hermitian symmetric "
-            f"(max mismatch {mismatch:.3e}); no real field has this transform"
-        )
-    values = np.fft.ifftn(c).real * F.shape.nsites
-    return LatticeField(F.shape, values)
-
-
-def cell_integral(f: TestFunction, z, shape: TorusShape) -> float:
-    """Integral of a test function over the cube cell centered at site z/n.
-
-    The cell is the axis-aligned cube of side 1/n centered at z/n in the unit
-    torus.  Each trigonometric mode integrates in closed form through a product
-    of sine factors, so no quadrature is involved.
-    """
-    z = np.asarray(wrap_coord(z, shape), dtype=np.float64)
-    if f.d != shape.d:
-        raise ValueError(f"test function has dimension {f.d}, torus has {shape.d}")
-    n = shape.n
-    total = 0.0
-    for k, a, b in f.modes:
-        kv = np.asarray(k, dtype=np.float64)
-        factors = np.where(
-            kv != 0.0,
-            np.sin(np.pi * kv / n) / np.where(kv != 0.0, np.pi * kv, 1.0),
-            1.0 / n,
-        )
-        phase = np.exp(2j * np.pi * np.dot(kv, z) / n) * np.prod(factors)
-        total += a * phase.real + b * phase.imag
-    return float(total)
-
-
 def cell_integral_field(f: TestFunction, shape: TorusShape) -> LatticeField:
-    """All cell integrals at once, as a field over the sites."""
+    """Integral of a test function over the cell of every site, as a field.
+
+    The cell of site z is the axis-aligned cube of side 1/n centered at z/n
+    in the unit torus.  Each trigonometric mode integrates in closed form
+    through a product of sine factors, so no quadrature is involved.
+    """
     if f.d != shape.d:
         raise ValueError(f"test function has dimension {f.d}, torus has {shape.d}")
     n = shape.n

@@ -54,20 +54,16 @@ import numpy as np
 import scipy.fft
 from scipy.special import exp1, gamma as gamma_fn, gammaincc
 
-from .lattice import LatticeField, TorusShape, frequency_grid
+from ._util import axis_sum
+from .lattice import LatticeField, TorusShape, frequency_grid, frequency_norm2
 
 _EWALD_RADIUS_CAP = 16
 
 
-def nn_eigenvalues(shape: TorusShape) -> "EigenvalueTable":
+def nn_eigenvalues(shape: TorusShape) -> np.ndarray:
     """Eigenvalue -(2/d) sum_i sin^2(pi w_i / n) at each frequency."""
     s = np.sin(np.pi * np.arange(shape.n) / shape.n) ** 2
-    acc = np.zeros(shape.dims)
-    for axis in range(shape.d):
-        idx = [None] * shape.d
-        idx[axis] = slice(None)
-        acc = acc + s[tuple(idx)]
-    return EigenvalueTable(shape, -(2.0 / shape.d) * acc)
+    return -(2.0 / shape.d) * axis_sum(s, shape.d)
 
 
 def _upper_gamma(a: float, x: np.ndarray) -> np.ndarray:
@@ -147,7 +143,7 @@ def _ewald_radius(d: int, alpha: float, tol: float) -> int:
     return radius
 
 
-def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTable":
+def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> np.ndarray:
     """Folded heavy-tailed jump kernel on the torus, normalized to mass one.
 
     Parameters
@@ -163,8 +159,8 @@ def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTab
     (axis permutations and torus reflections), at the orbit's first site in
     FFT order, and the table is filled from those values.  Every site keeps
     the same image points as a site-by-site evaluation would; only the order
-    of rounding changes, and the returned ``p`` equals its axis permutations
-    and its reflection x -> -x exactly.
+    of rounding changes, and the returned table p equals its axis
+    permutations and its reflection x -> -x exactly.
     """
     if not (alpha > 0):
         raise ValueError(f"alpha must be positive, got {alpha}")
@@ -218,55 +214,15 @@ def lr_kernel(shape: TorusShape, alpha: float, tol: float = 1e-10) -> "KernelTab
     if not np.all((raw > 0) & (raw < np.inf)):
         raise ValueError("kernel evaluation produced a non-positive or non-finite entry")
     raw = raw[orbit].reshape(shape.dims)
-    p = raw / raw.sum()
-    return KernelTable(shape, p, alpha, tol, radius * n)
+    return raw / raw.sum()
 
 
-def lr_eigenvalues(kernel: "KernelTable") -> "EigenvalueTable":
+def lr_eigenvalues(p: np.ndarray) -> np.ndarray:
     """Transform of p - delta; real, zero at the zero frequency, negative off it."""
-    lam = np.fft.fftn(kernel.p).real
+    lam = np.fft.fftn(p).real
     lam -= 1.0
     lam.flat[0] = 0.0  # total mass one makes this exact
-    return EigenvalueTable(kernel.shape, lam)
-
-
-@dataclass(frozen=True)
-class EigenvalueTable:
-    """Real spectral table of a generator, indexed like the FFT grid."""
-
-    shape: TorusShape
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=np.float64)
-        if v.shape != self.shape.dims:
-            raise ValueError("eigenvalue table has the wrong shape")
-        object.__setattr__(self, "values", v)
-
-    def check(self, tol: float = 1e-9):
-        """Validate the Laplacian sign structure: zero mode zero, rest negative."""
-        flat = self.values.ravel()
-        if abs(flat[0]) > tol:
-            raise ValueError(f"zero-frequency eigenvalue is {flat[0]:.3e}, expected 0")
-        if np.any(flat[1:] >= 0):
-            raise ValueError("found a non-negative eigenvalue away from frequency zero")
-
-
-@dataclass(frozen=True)
-class KernelTable:
-    """Folded jump kernel with its construction parameters."""
-
-    shape: TorusShape
-    p: np.ndarray
-    alpha: float
-    tol: float
-    radius: int
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=np.float64)
-        if p.shape != self.shape.dims:
-            raise ValueError("kernel table has the wrong shape")
-        object.__setattr__(self, "p", p)
+    return lam
 
 
 class BufferedGenerator:
@@ -286,7 +242,7 @@ class BufferedGenerator:
         self.x = np.empty(op.shape.dims)
         self.out = np.empty(op.shape.dims)
         if op.kind == "lr":
-            self._phat = np.fft.fftn(op.kernel().p)
+            self._phat = np.fft.fftn(op.kernel())
             return
         self._phat = None
         self._share = 2.0 * op.shape.d
@@ -332,7 +288,7 @@ class OperatorSpec:
     alpha: float | None = None
     tol: float = 1e-10
     _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _kernel: KernelTable | None = field(default=None, repr=False, compare=False)
+    _kernel: np.ndarray | None = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("nn", "lr"):
@@ -348,14 +304,14 @@ class OperatorSpec:
     def long_range(cls, shape: TorusShape, alpha: float, tol: float = 1e-10) -> "OperatorSpec":
         return cls("lr", shape, alpha=alpha, tol=tol)
 
-    def kernel(self) -> KernelTable:
+    def kernel(self) -> np.ndarray:
         if self.kind != "lr":
             raise ValueError("only the long-range operator has a jump kernel")
         if self._kernel is None:
             self._kernel = lr_kernel(self.shape, self.alpha, self.tol)
         return self._kernel
 
-    def eigenvalues(self) -> EigenvalueTable:
+    def eigenvalues(self) -> np.ndarray:
         """The full eigenvalue table, computed afresh on every call (not cached)."""
         if self.kind == "nn":
             return nn_eigenvalues(self.shape)
@@ -364,7 +320,7 @@ class OperatorSpec:
     def inverse_symbol(self) -> np.ndarray:
         """-1/lambda on the rfftn half grid, and 0 where lambda is 0 (the zero mode)."""
         if self._inv is None:
-            lam = self.eigenvalues().values[..., : self.shape.n // 2 + 1]
+            lam = self.eigenvalues()[..., : self.shape.n // 2 + 1]
             inv = np.zeros(lam.shape)
             np.divide(-1.0, lam, out=inv, where=lam != 0.0)
             inv.flat[0] = 0.0
@@ -413,10 +369,7 @@ def solve_poisson(charge: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9
 def power_law_multiplier(shape: TorusShape, exponent: float, at_zero: float = 1.0) -> np.ndarray:
     """Frequency map ||w||^exponent on centered frequencies, with a chosen
     value at the zero frequency (immaterial wherever the zero mode is dropped)."""
-    w2 = np.zeros(shape.dims)
-    grid = frequency_grid(shape).astype(np.float64)
-    for i in range(shape.d):
-        w2 += grid[i] ** 2
+    w2 = frequency_norm2(shape)
     out = np.empty(shape.dims)
     nz = w2 > 0
     out[nz] = w2[nz] ** (exponent / 2.0)

@@ -66,22 +66,6 @@ def _topple(gen: BufferedGenerator, s: np.ndarray, u: np.ndarray) -> None:
     np.add(u, gen.x, out=u)
 
 
-def parallel_topple_step(state: SandpileState) -> SandpileState:
-    """Topple every unstable site at once; stable states are fixed points."""
-    gen = BufferedGenerator(state.op)
-    if not _excess_into(gen, state.s.values).any():
-        return state
-    s_new = state.s.values.copy()
-    u_new = state.u.values.copy()
-    _topple(gen, s_new, u_new)
-    return SandpileState(
-        state.op,
-        LatticeField(state.op.shape, s_new),
-        LatticeField(state.op.shape, u_new),
-        state.t + 1,
-    )
-
-
 def sequential_topple_pass(state: SandpileState, order) -> SandpileState:
     """Topple sites one at a time in the given order, using current heights.
 
@@ -113,7 +97,7 @@ def sequential_topple_pass(state: SandpileState, order) -> SandpileState:
         s = sf.reshape(shape.dims)
         u = uf.reshape(shape.dims)
     else:
-        p = op.kernel().p
+        p = op.kernel()
         # offset[x, y] = (y - x) mod n: indexing p by the rows of the site's
         # coordinates gives the kernel centred on that site
         ar = np.arange(shape.n)
@@ -152,7 +136,6 @@ def stabilize(
     state: SandpileState,
     tol: float = None,
     step_limit: int = 500_000,
-    on_step=None,
 ) -> tuple[SandpileState, StabilizationReport]:
     """Run parallel toppling until the total excess falls below tol.
 
@@ -169,8 +152,8 @@ def stabilize(
     generator's fixed summation order (nearest neighbour) and once-per-call
     kernel transform (long range, two FFTs a step) keep every report,
     odometer and final field bit-identical to the reference engine frozen in
-    the tests.  on_step, if given, is called after every step with a state
-    holding copies of the fields, so mutating them cannot change the run.
+    the tests.  ``step_limit=k`` runs at most k parallel steps, so k = 1 is
+    a single step in which every unstable site topples at once.
     """
     shape = state.op.shape
     if tol is None:
@@ -200,10 +183,6 @@ def stabilize(
             break
         _topple(gen, s, u)
         steps += 1
-        if on_step is not None:
-            on_step(
-                SandpileState(op, LatticeField(shape, s.copy()), LatticeField(shape, u.copy()), state.t + steps)
-            )
     final = SandpileState(op, LatticeField(shape, s), LatticeField(shape, u), state.t + steps)
     return final, StabilizationReport(status, steps, float(e.max()), total)
 

@@ -34,8 +34,8 @@ from sandlab.growth import (
 from sandlab.odometer import (
     eta_covariance_exact,
     eta_sample_batch,
+    odometer_routes,
     odometer_spectral,
-    torus_obstacle_odometer,
 )
 from sandlab.sampling import (
     CHUNK_REPLICATES,
@@ -147,8 +147,7 @@ def test_criterion_04_obstacle_route_is_algebraically_identical():
         else:
             op = OperatorSpec.long_range(shape, 0.5 + 0.25 * (i % 3))
         s = critical_config(shape, 500 + i)
-        u = odometer_spectral(s, op).values
-        w = torus_obstacle_odometer(s, op).values
+        u, w = (route.values for route in odometer_routes(s, op))
         gap = float(np.max(np.abs(u - w)))
         worst = max(worst, gap)
         assert gap <= 1e-12
@@ -158,7 +157,7 @@ def test_criterion_04_obstacle_route_is_algebraically_identical():
 def test_criterion_05_exact_covariance_matches_monte_carlo():
     shape = TorusShape(1, 4)
     op = OperatorSpec.nearest_neighbour(shape)
-    row = eta_covariance_exact(op).values.values
+    row = eta_covariance_exact(op).values
     cov = np.array([[row[(j - i) % 4] for j in range(4)] for i in range(4)])
     samples = 200_000
     chunks = -(-samples // CHUNK_REPLICATES)
@@ -217,7 +216,7 @@ def test_criterion_08_long_range_variance_and_eigenvalue_scaling():
     ns = (16, 32, 64, 128)
     vals = []
     for n in ns:
-        lam = OperatorSpec.long_range(TorusShape(2, n), 1.0).eigenvalues().values
+        lam = OperatorSpec.long_range(TorusShape(2, n), 1.0).eigenvalues()
         vals.append(-lam[1, 0])
     slope = float(np.polyfit(np.log(ns), np.log(vals), 1)[0])
     assert abs(slope + 1.0) <= 0.15

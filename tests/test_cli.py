@@ -262,6 +262,23 @@ def test_run_rejects_growth_values_without_traceback(tmp_path, monkeypatch, caps
     assert not Path("outz").exists()
 
 
+def test_run_reports_memory_error_without_traceback(tmp_path, monkeypatch, capsys):
+    # validate accepts sizes beyond memory (one field on the d = 4, n = 1000
+    # torus takes 7.3 TiB); the failed allocation is reported like any error.
+    monkeypatch.chdir(tmp_path)
+
+    def out_of_memory(*args, **kwargs):
+        raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000, 1000, 1000, 1000)")
+
+    monkeypatch.setattr(cli, "sample_sigma", out_of_memory)
+    path = write(tmp_path, "m.txt", "kind = topple\nd = 4\nn = 1000\nout = outm\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Unable to allocate" in err
+    assert "Traceback" not in err
+    assert not Path("outm").exists()
+
+
 def test_aliased_test_functions_that_pair_are_accepted():
     # Frequencies at or past n/2 alias to a lower mode that still pairs with the field.
     for text in (

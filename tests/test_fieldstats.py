@@ -92,7 +92,7 @@ def test_pairing_vector_identity():
     for _ in range(3):
         sigma = rng.standard_normal((8, 8))
         s = make_initial_config(LatticeField(shape, sigma))
-        eta = eta_field(s, op).field
+        eta = eta_field(s, op)
         direct = pair_field(eta, f)
         collapsed = float(np.dot(sigma.ravel(), k.ravel()))
         assert direct == pytest.approx(collapsed, abs=1e-12)
@@ -243,7 +243,7 @@ def test_large_grid_nn_covariance_profile():
     d, n, rs = 5, 20, [0, 1, 2, 3, 10]
     got = covariance_profile("nn", d, n, rs)
     assert np.array_equal(got, frozen_large_grid_nn_profile(d, n, rs))
-    table = eta_covariance_exact(OperatorSpec("nn", TorusShape(d, n))).values.values
+    table = eta_covariance_exact(OperatorSpec("nn", TorusShape(d, n))).values
     want = np.array([table[(r,) + (0,) * (d - 1)] for r in rs])
     assert np.max(np.abs(got - want) / want) <= 1e-13
 

@@ -1,62 +1,16 @@
-"""Transform pair, frequency tables, and exact cell integrals."""
+"""Frequency tables and exact cell integrals."""
 
 import numpy as np
 import pytest
 
-from sandlab import TorusShape, LatticeField, dft, idft, cell_integral
+from sandlab import TorusShape, LatticeField
 from sandlab import TestFunction as Wave
 from sandlab.lattice import (
-    SpectralField,
     cell_integral_field,
     frequency_axes,
     frequency_grid,
     frequency_norm2,
-    wrap_coord,
 )
-
-
-def naive_dft(values: np.ndarray) -> np.ndarray:
-    """Definition-level transform: fhat(w) = (1/n^d) sum_z f(z) e^{-2 pi i z.w/n}."""
-    shape = values.shape
-    n = shape[0]
-    d = values.ndim
-    out = np.zeros(shape, dtype=np.complex128)
-    for w in np.ndindex(shape):
-        acc = 0.0 + 0.0j
-        for z in np.ndindex(shape):
-            phase = sum(zi * wi for zi, wi in zip(z, w)) / n
-            acc += values[z] * np.exp(-2j * np.pi * phase)
-        out[w] = acc / values.size
-    return out
-
-
-def test_dft_matches_definition():
-    rng = np.random.default_rng(1)
-    for d, n in [(1, 5), (2, 4), (3, 3)]:
-        f = LatticeField(TorusShape(d, n), rng.standard_normal((n,) * d))
-        got = dft(f).coeffs
-        want = naive_dft(f.values)
-        assert np.max(np.abs(got - want)) < 1e-12
-
-
-def test_roundtrip_and_parseval():
-    rng = np.random.default_rng(2)
-    f = LatticeField(TorusShape(2, 8), rng.standard_normal((8, 8)))
-    F = dft(f)
-    back = idft(F)
-    assert np.max(np.abs(back.values - f.values)) < 1e-12
-    # sum |f|^2 = n^d sum |fhat|^2 under the 1/n^d-forward convention
-    lhs = np.sum(f.values**2)
-    rhs = f.shape.nsites * np.sum(np.abs(F.coeffs) ** 2)
-    assert abs(lhs - rhs) < 1e-9 * max(1.0, lhs)
-
-
-def test_idft_rejects_broken_symmetry():
-    shape = TorusShape(1, 4)
-    vals = np.zeros(4, dtype=np.complex128)
-    vals[1] = 1.0  # no conjugate partner at frequency 3
-    with pytest.raises(ValueError):
-        idft(SpectralField(shape, vals))
 
 
 def test_frequency_tables():
@@ -69,12 +23,6 @@ def test_frequency_tables():
     assert norm2[0, 0] == 0
     assert norm2[1, 3] == 1 + 1
     assert norm2[2, 2] == 8
-
-
-def test_wrap_coord():
-    shape = TorusShape(2, 4)
-    assert wrap_coord((-1, 5), shape) == (3, 1)
-    assert wrap_coord((2, 0), shape) == (2, 0)
 
 
 def quadrature_cell_integral(f: Wave, z, shape: TorusShape, m: int = 400) -> float:
@@ -91,8 +39,9 @@ def quadrature_cell_integral(f: Wave, z, shape: TorusShape, m: int = 400) -> flo
 def test_cell_integral_against_quadrature():
     shape = TorusShape(2, 4)
     f = Wave.cosine((1, 0)).plus(Wave.sine((2, 1), amplitude=0.5))
+    cells = cell_integral_field(f, shape).values
     for z in [(0, 0), (1, 3), (2, 2)]:
-        exact = cell_integral(f, z, shape)
+        exact = cells[z]
         approx = quadrature_cell_integral(f, z, shape)
         assert abs(exact - approx) < 5e-6
 
@@ -102,9 +51,10 @@ def test_cell_integral_d1_closed_form():
     # cos(2 pi z/4) * sin(pi/4)/pi exactly.
     shape = TorusShape(1, 4)
     f = Wave.cosine((1,))
+    cells = cell_integral_field(f, shape).values
     for z in range(4):
         want = np.cos(2 * np.pi * z / 4) * np.sin(np.pi / 4) / np.pi
-        assert abs(cell_integral(f, (z,), shape) - want) < 1e-14
+        assert abs(cells[z] - want) < 1e-14
 
 
 def test_cell_integrals_sum_to_zero():

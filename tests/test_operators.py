@@ -9,9 +9,8 @@ from hypothesis import example, given, settings, strategies as st
 from scipy.special import gamma as gamma_fn, gammaincc
 
 from sandlab import TorusShape, LatticeField, OperatorSpec, solve_poisson, power_law_multiplier
-from sandlab.lattice import _reverse_indices, dft
+from sandlab.lattice import _reverse_indices
 from sandlab.operators import (
-    EigenvalueTable,
     _ewald_log_tail_bound,
     _upper_gamma,
     lr_eigenvalues,
@@ -43,9 +42,9 @@ def test_nn_apply_conserves_mass():
 
 def test_nn_eigenvalue_pins():
     # lambda(w) = -(2/d) sum sin^2(pi w_i/n): the two spec-level anchors.
-    lam2 = nn_eigenvalues(TorusShape(1, 2)).values
+    lam2 = nn_eigenvalues(TorusShape(1, 2))
     assert abs(lam2[1] - (-2.0)) < 1e-15
-    lam4 = nn_eigenvalues(TorusShape(1, 4)).values
+    lam4 = nn_eigenvalues(TorusShape(1, 4))
     assert abs(lam4[1] - (-1.0)) < 1e-15
     assert lam4[0] == 0.0
 
@@ -54,9 +53,9 @@ def test_nn_eigenvalues_diagonalize_the_operator():
     rng = np.random.default_rng(4)
     shape = TorusShape(2, 8)
     f = LatticeField(shape, rng.standard_normal((8, 8)))
-    lam = nn_eigenvalues(shape).values
-    lhs = dft(OperatorSpec.nearest_neighbour(shape).apply(f)).coeffs
-    rhs = lam * dft(f).coeffs
+    lam = nn_eigenvalues(shape)
+    lhs = np.fft.fftn(OperatorSpec.nearest_neighbour(shape).apply(f).values)
+    rhs = lam * np.fft.fftn(f.values)
     assert np.max(np.abs(lhs - rhs)) < 1e-12
 
 
@@ -81,7 +80,7 @@ def test_lr_kernel_d1_matches_hurwitz_zeta():
     # for 0 < x < n, and 2 n^(-s) zeta(s, 1) at x = 0.
     n, alpha = 16, 1.0
     s = 1 + alpha
-    table = lr_kernel(TorusShape(1, n), alpha).p
+    table = lr_kernel(TorusShape(1, n), alpha)
     raw = np.empty(n)
     raw[0] = 2 * n**-s * hurwitz_zeta(s, 1.0)
     for x in range(1, n):
@@ -133,7 +132,7 @@ def cube_lr_kernel(shape, alpha, tol):
 @pytest.mark.parametrize("d, n", [(2, 16), (2, 11), (3, 7), (3, 8)])
 def test_spherical_lr_kernel_matches_cube_loop(d, n, alpha):
     shape = TorusShape(d, n)
-    got = lr_kernel(shape, alpha, tol=1e-13).p
+    got = lr_kernel(shape, alpha, tol=1e-13)
     want = cube_lr_kernel(shape, alpha, 1e-13)
     assert np.max(np.abs(got - want) / want) <= 1e-14
 
@@ -146,7 +145,7 @@ def test_spherical_lr_kernel_matches_cube_loop(d, n, alpha):
 def test_lr_kernel_is_exactly_symmetric(d, n, alpha):
     # One evaluation per symmetry orbit: the table equals its images under
     # every axis permutation and torus reflection bit for bit.
-    p = lr_kernel(TorusShape(d, n), alpha).p
+    p = lr_kernel(TorusShape(d, n), alpha)
     for perm in itertools.permutations(range(d)):
         assert np.array_equal(p, np.transpose(p, perm))
     for axis in range(d):
@@ -222,7 +221,7 @@ def test_lr_kernel_names_a_radius_past_the_cap(alpha, radius):
 
 def test_lr_kernel_d1_against_truncated_sum():
     n, alpha = 8, 1.5
-    table = lr_kernel(TorusShape(1, n), alpha).p
+    table = lr_kernel(TorusShape(1, n), alpha)
     want = direct_kernel_d1(n, alpha, images=10_000)
     assert np.max(np.abs(table - want)) < 1e-5
     # the kernel is a probability vector, symmetric under negation
@@ -231,7 +230,7 @@ def test_lr_kernel_d1_against_truncated_sum():
 
 
 def test_lr_kernel_monotone_from_origin():
-    table = lr_kernel(TorusShape(1, 32), 0.75).p
+    table = lr_kernel(TorusShape(1, 32), 0.75)
     half = table[: 16 + 1]
     assert np.all(np.diff(half[1:]) < 0)  # decreasing up to the antipode
     # the self-loop collects only far images, so the adjacent site dominates it
@@ -241,7 +240,7 @@ def test_lr_kernel_monotone_from_origin():
 def test_lr_eigenvalues_sign_structure():
     for d, n, alpha in [(1, 16, 1.0), (2, 8, 0.75)]:
         kern = lr_kernel(TorusShape(d, n), alpha)
-        lam = lr_eigenvalues(kern).values
+        lam = lr_eigenvalues(kern)
         assert lam.flat[0] == 0.0
         assert np.all(lam.ravel()[1:] < 0)
 
@@ -257,7 +256,7 @@ def test_lr_apply_spectral_vs_direct_convolution():
     conv = np.zeros(shape.dims)
     for dx in range(8):
         for dy in range(8):
-            conv += kern.p[dx, dy] * np.roll(np.roll(f.values, dx, axis=0), dy, axis=1)
+            conv += kern[dx, dy] * np.roll(np.roll(f.values, dx, axis=0), dy, axis=1)
     want = conv - f.values
     assert np.max(np.abs(got - want)) < 1e-10
 
@@ -268,7 +267,7 @@ def test_lr_eigenvalue_closed_form_d1_alpha1():
     # quadratic Bernoulli polynomial value of sum cos(2 pi m theta)/m^2.
     n = 64
     kern = lr_kernel(TorusShape(1, n), 1.0)
-    lam = lr_eigenvalues(kern).values
+    lam = lr_eigenvalues(kern)
     theta = np.arange(n) / n
     want = -6.0 * theta * (1.0 - theta)
     assert np.max(np.abs(lam - want)) < 1e-10
@@ -280,7 +279,7 @@ def test_lr_eigenvalue_scaling_slope():
     ns = np.array([16, 32, 64, 128])
     vals = []
     for n in ns:
-        lam = lr_eigenvalues(lr_kernel(TorusShape(1, int(n)), alpha)).values
+        lam = lr_eigenvalues(lr_kernel(TorusShape(1, int(n)), alpha))
         vals.append(-lam[1])
     slope = np.polyfit(np.log(ns), np.log(vals), 1)[0]
     assert abs(slope - (-alpha)) < 0.05
@@ -351,10 +350,3 @@ def test_power_law_multiplier_matches_mode_sum():
             norm = np.hypot(float(w[i]), float(w[j]))
             want = 1.0 if norm == 0 else norm**-1.0
             assert abs(got[i, j] - want) < 1e-14
-
-
-def test_eigenvalue_table_check_rejects_positive_modes():
-    shape = TorusShape(1, 4)
-    bad = EigenvalueTable(shape, np.array([0.0, -1.0, 0.5, -1.0]))
-    with pytest.raises(ValueError):
-        bad.check()
