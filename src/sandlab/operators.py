@@ -229,42 +229,81 @@ class BufferedGenerator:
     """The generator L of one operator, applied between two reusable buffers.
 
     Write a field into ``x`` and call ``apply``: L x lands in ``out``, and
-    both buffers are overwritten in place on every call.  The
-    nearest-neighbour stencil is a fixed list of (output view, input view)
-    pairs built once; it adds the 2d shifted copies in a fixed order (axis 0
-    by +1 then -1, then axis 1, ...), divides by 2d and subtracts x.  That
-    order is the one of the np.roll sum, and it is fixed on purpose:
-    floating-point addition is not associative.  The long-range kernel's
-    transform is computed once, so each application costs two FFTs.
+    both buffers are overwritten in place on every call.  With ``count`` the
+    buffers hold a stack of that many fields, shape ``(count,) + dims``, and
+    L acts on each field of the stack; without it they hold one field.
+
+    The nearest-neighbour stencil adds the 2d shifted copies in a fixed
+    order (axis 0 by +1 then -1, then axis 1, ...), divides by 2d and
+    subtracts x.  That order is the one of the np.roll sum, and it is fixed
+    on purpose: floating-point addition is not associative.  Each shift adds
+    the whole flat buffer offset by the axis stride, one contiguous operand
+    pair, which is right everywhere but on the wrap slab (the sites at the
+    edge of each block of the axis), and then adds the wrap neighbour onto
+    that slab.  Where the blocks repeat (a stack, or any axis but the first)
+    the shifted add writes a wrong neighbour onto the slab, so the slab is
+    saved first and rewritten as saved + wrap neighbour.  Either way each
+    site receives its 2d neighbours in the fixed order.
+
+    The long-range kernel's transform is computed once.  Each application
+    runs ``fftn`` and ``ifftn`` as one-axis transforms of every field in the
+    stack (last axis first, as ``fftn`` does) between two preallocated
+    complex buffers, which gives the same bits as the n-d calls.
     """
 
-    def __init__(self, op: "OperatorSpec"):
-        self.x = np.empty(op.shape.dims)
-        self.out = np.empty(op.shape.dims)
+    def __init__(self, op: "OperatorSpec", count: int | None = None):
+        dims = op.shape.dims if count is None else (count,) + op.shape.dims
+        self.x = np.empty(dims)
+        self.out = np.empty(dims)
+        d, n = op.shape.d, op.shape.n
         if op.kind == "lr":
             self._phat = np.fft.fftn(op.kernel())
+            self._axes = range(len(dims) - 1, len(dims) - 1 - d, -1)
+            self._spectra = (np.empty(dims, complex), np.empty(dims, complex))
             return
         self._phat = None
-        self._share = 2.0 * op.shape.d
-        self._pairs = []
-        for axis in range(op.shape.d):
-            g, x = np.moveaxis(self.out, axis, 0), np.moveaxis(self.x, axis, 0)
+        self._share = 2.0 * d
+        self._stencil = []
+        flat_g, flat_x = self.out.reshape(-1), self.x.reshape(-1)
+        for axis in range(d):
+            stride = n ** (d - 1 - axis)
+            g, x = self.out.reshape(-1, n, stride), self.x.reshape(-1, n, stride)
             # the shift by +1 reads x[i - 1], then the shift by -1 reads x[i + 1]
-            self._pairs += [(g[1:], x[:-1]), (g[:1], x[-1:]), (g[:-1], x[1:]), (g[-1:], x[:1])]
+            for edge, wrap in ((0, -1), (-1, 0)):
+                ahead, behind = slice(stride, None), slice(-stride)
+                if edge != 0:
+                    ahead, behind = behind, ahead
+                slab = np.squeeze(g[:, edge])
+                # with one block the shifted add leaves the wrap slab alone
+                saved = None if len(g) == 1 else np.empty(slab.shape)
+                self._stencil.append((flat_g[ahead], flat_x[behind], slab, np.squeeze(x[:, wrap]), saved))
 
     def apply(self) -> np.ndarray:
         """Overwrite and return ``out`` with L applied to ``x``."""
         x, g = self.x, self.out
         if self._phat is None:
             g.fill(0.0)
-            for dst, src in self._pairs:
-                np.add(dst, src, out=dst)
+            for dst, src, slab, wrap, saved in self._stencil:
+                if saved is None:
+                    np.add(dst, src, out=dst)
+                    np.add(slab, wrap, out=slab)
+                else:
+                    np.copyto(saved, slab)
+                    np.add(dst, src, out=dst)
+                    np.add(saved, wrap, out=slab)
             np.divide(g, self._share, out=g)
             np.subtract(g, x, out=g)
         else:
-            xhat = np.fft.fftn(x)
-            xhat *= self._phat
-            np.subtract(np.fft.ifftn(xhat).real, x, out=g)
+            a, b = self._spectra
+            np.fft.fft(x, axis=self._axes[0], out=a)
+            for axis in self._axes[1:]:
+                np.fft.fft(a, axis=axis, out=b)
+                a, b = b, a
+            a *= self._phat
+            for axis in self._axes:
+                np.fft.ifft(a, axis=axis, out=b)
+                a, b = b, a
+            np.subtract(a.real, x, out=g)
         return g
 
 

@@ -13,6 +13,7 @@ running the dynamics.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -51,19 +52,64 @@ class StabilizationReport:
 
 
 def _excess(values: np.ndarray) -> np.ndarray:
-    return np.clip(values - 1.0, 0.0, None)
+    return np.maximum(values - 1.0, 0.0)
 
 
-def _excess_into(gen: BufferedGenerator, s: np.ndarray) -> np.ndarray:
-    """Overwrite and return the generator's input buffer with max(s - 1, 0)."""
-    np.subtract(s, 1.0, out=gen.x)
-    return np.maximum(gen.x, 0.0, out=gen.x)
+def _checked_order(order, shape: TorusShape) -> list:
+    order = np.asarray(order, dtype=np.int64)
+    if order.ndim != 1:
+        raise ValueError("order must be a flat sequence of site indices")
+    if order.size and (order.min() < 0 or order.max() >= shape.nsites):
+        raise ValueError("order contains an out-of-range site index")
+    return order.tolist()
 
 
-def _topple(gen: BufferedGenerator, s: np.ndarray, u: np.ndarray) -> None:
-    """Topple the excess last written by ``_excess_into``: s += L e, u += e."""
-    np.add(s, gen.apply(), out=s)
-    np.add(u, gen.x, out=u)
+def _pass_fields(state: SandpileState) -> tuple:
+    """Copies of heights and odometer in the form ``_sequential_pass`` updates:
+    flat Python lists for nearest neighbour, arrays for long range."""
+    if state.op.kind == "nn":
+        return state.s.values.ravel().tolist(), state.u.values.ravel().tolist()
+    return state.s.values.copy(), state.u.values.copy()
+
+
+def _sequential_pass(op: OperatorSpec):
+    """A pass function that topples each listed site of s, u (as given by
+    ``_pass_fields``) in turn, in place; its tables are built once."""
+    shape = op.shape
+    if op.kind == "nn":
+        # Python floats round like float64 scalars, so lists give the same
+        # bits as numpy element access at a fraction of the cost.
+        neigh = _neighbour_lists(shape)
+        share = 1.0 / (2.0 * shape.d)
+
+        def nn_pass(s, u, order):
+            for x in order:
+                e = s[x] - 1.0
+                if e <= 0.0:
+                    continue
+                s[x] -= e
+                a = e * share
+                for y in neigh[x]:
+                    s[y] += a
+                u[x] += e
+        return nn_pass
+
+    p = op.kernel()
+    # offset[x, y] = (y - x) mod n: indexing p by the rows of the site's
+    # coordinates gives the kernel centred on that site
+    ar = np.arange(shape.n)
+    offset = (ar[None, :] - ar[:, None]) % shape.n
+
+    def lr_pass(s, u, order):
+        for x in order:
+            idx = np.unravel_index(x, shape.dims)
+            e = s[idx] - 1.0
+            if e <= 0.0:
+                continue
+            s += e * p[np.ix_(*offset[list(idx)])]
+            s[idx] -= e
+            u[idx] += e
+    return lr_pass
 
 
 def sequential_topple_pass(state: SandpileState, order) -> SandpileState:
@@ -72,64 +118,115 @@ def sequential_topple_pass(state: SandpileState, order) -> SandpileState:
     The order is a sequence of flat site indices in canonical raveling; each
     listed site is toppled once if unstable when its turn arrives.
     """
-    op = state.op
-    shape = op.shape
-    s = state.s.values.copy()
-    u = state.u.values.copy()
-    order = np.asarray(order, dtype=np.int64)
-    if order.ndim != 1:
-        raise ValueError("order must be a flat sequence of site indices")
-    if order.size and (order.min() < 0 or order.max() >= shape.nsites):
-        raise ValueError("order contains an out-of-range site index")
-
-    if op.kind == "nn":
-        sf = s.reshape(-1)
-        uf = u.reshape(-1)
-        neigh = _neighbour_index_table(shape)
-        share = 1.0 / (2.0 * shape.d)
-        for x in order:
-            e = sf[x] - 1.0
-            if e <= 0.0:
-                continue
-            sf[x] -= e
-            np.add.at(sf, neigh[x], e * share)
-            uf[x] += e
-        s = sf.reshape(shape.dims)
-        u = uf.reshape(shape.dims)
-    else:
-        p = op.kernel()
-        # offset[x, y] = (y - x) mod n: indexing p by the rows of the site's
-        # coordinates gives the kernel centred on that site
-        ar = np.arange(shape.n)
-        offset = (ar[None, :] - ar[:, None]) % shape.n
-        for x in order:
-            idx = np.unravel_index(int(x), shape.dims)
-            e = s[idx] - 1.0
-            if e <= 0.0:
-                continue
-            s += e * p[np.ix_(*offset[list(idx)])]
-            s[idx] -= e
-            u[idx] += e
-
-    return SandpileState(op, LatticeField(shape, s), LatticeField(shape, u), state.t + 1)
+    shape = state.op.shape
+    order = _checked_order(order, shape)
+    s, u = _pass_fields(state)
+    _sequential_pass(state.op)(s, u, order)
+    dims = shape.dims
+    return SandpileState(state.op, LatticeField(shape, np.reshape(s, dims)),
+                         LatticeField(shape, np.reshape(u, dims)), state.t + 1)
 
 
-def _neighbour_index_table(shape: TorusShape) -> np.ndarray:
-    """Flat indices of the 2d directional neighbours of every site.
+def _neighbour_lists(shape: TorusShape) -> tuple:
+    """Flat indices of the 2d directional neighbours of every site, x + e
+    then x - e along axis 0, then axis 1, ...
 
     Directions that coincide on a small torus appear twice, which keeps the
     redistribution weights right at n = 2.
     """
-    coords = np.stack(
-        np.meshgrid(*[np.arange(shape.n)] * shape.d, indexing="ij"), axis=-1
-    ).reshape(-1, shape.d)
-    cols = []
-    for axis in range(shape.d):
-        for step in (1, -1):
-            shifted = coords.copy()
-            shifted[:, axis] = (shifted[:, axis] + step) % shape.n
-            cols.append(np.ravel_multi_index(shifted.T, shape.dims))
-    return np.stack(cols, axis=1)
+    index = np.arange(shape.nsites).reshape(shape.dims)
+    cols = [np.roll(index, -step, axis).ravel() for axis in range(shape.d) for step in (1, -1)]
+    return tuple(map(tuple, np.stack(cols, axis=1).tolist()))
+
+
+# At most this many sites step in one replicate stack, so a stack's buffers
+# stay near 32 MiB (64 MiB long range) for any number of states.
+STACK_SITES = 1 << 20
+
+
+def _explosion(state: SandpileState, tol: float) -> StabilizationReport | None:
+    """The report of a state whose mass certifies explosion, else None.
+
+    The explosion margin never drops below the rounding noise of summing
+    nsites heights, so a critical configuration (mass exactly nsites) is not
+    misread as exploding when tol is tiny or zero.
+    """
+    nsites = state.op.shape.nsites
+    if float(state.s.values.sum()) <= nsites + max(tol, 1e-12 * nsites):
+        return None
+    e = _excess(state.s.values)
+    return StabilizationReport("exploded", 0, float(e.max()), float(e.sum()))
+
+
+def _stabilize_stack(op: OperatorSpec, s: np.ndarray, u: np.ndarray, tol: float, step_limit: int) -> list:
+    """Topple the stack s, u of shape ``(R,) + dims`` in place; (s, u, report) per replicate.
+
+    Each step writes the excess into the generator's input buffer, reads
+    L e from its output buffer and adds both in place.  A replicate whose
+    excess is within tol, or that has reached the step limit, is copied out
+    with its own report, and the rest are compacted into a smaller stack.
+    """
+    done, live, steps = [None] * len(s), list(range(len(s))), 0
+    gen = BufferedGenerator(op, len(s))
+    while True:
+        e = np.maximum(np.subtract(s, 1.0, out=gen.x), 0.0, out=gen.x)
+        if len(live) == 1:  # one whole-buffer sum, so a single run pays nothing extra
+            totals = (float(e.sum()),)
+            finished = totals[0] <= tol
+        else:
+            totals = e.reshape(len(live), -1).sum(axis=1)
+            finished = totals.min() <= tol
+        if finished or steps >= step_limit:
+            keep = []
+            for k, total in enumerate(totals):
+                if total > tol and steps < step_limit:
+                    keep.append(k)
+                    continue
+                status = "stabilized" if total <= tol else "step-limit"
+                report = StabilizationReport(status, steps, float(e[k].max()), float(total))
+                done[live[k]] = (s[k].copy(), u[k].copy(), report)
+            if not keep:
+                return done
+            live, s, u = [live[k] for k in keep], s[keep], u[keep]
+            gen = BufferedGenerator(op, len(keep))
+            continue  # the excess of the kept replicates is rewritten into the new buffer
+        np.add(s, gen.apply(), out=s)
+        np.add(u, e, out=u)
+        steps += 1
+
+
+def stabilize_stack(states, tol: float = None, step_limit: int = 500_000):
+    """Stabilize states of one operator together; yield (state, report) in order.
+
+    Each state gets what ``stabilize`` gives it alone, report, step count
+    and fields bit for bit.  A state whose mass certifies explosion is
+    yielded unchanged.  The others step together in replicate stacks of
+    shape ``(R,) + dims``: ``states`` is read ``STACK_SITES // nsites`` states
+    at a time (one if a state alone is larger), so peak memory stays bounded
+    however many are given.  Within a stack each replicate keeps its own
+    convergence test and step count; a finished replicate is copied out and
+    the rest are compacted into a smaller stack, at most R rebuilds.
+    """
+    states = iter(states)
+    first = next(states, None)
+    if first is None:
+        return
+    op, shape = first.op, first.op.shape
+    tol = 1e-10 * shape.nsites if tol is None else tol
+    states = itertools.chain([first], states)
+    while chunk := list(itertools.islice(states, max(1, STACK_SITES // shape.nsites))):
+        if any(state.op != op for state in chunk):
+            raise ValueError("stacked states must share one operator")
+        exploded = [_explosion(state, tol) for state in chunk]
+        live = [state for state, report in zip(chunk, exploded) if report is None]
+        stepped = iter(_stabilize_stack(
+            op, np.stack([x.s.values for x in live]), np.stack([x.u.values for x in live]), tol, step_limit
+        ) if live else ())
+        for state, report in zip(chunk, exploded):
+            if report is None:
+                s, u, report = next(stepped)
+                state = SandpileState(op, LatticeField(shape, s), LatticeField(shape, u), state.t + report.steps)
+            yield state, report
 
 
 def stabilize(
@@ -142,49 +239,17 @@ def stabilize(
     tol defaults to 1e-10 * nsites.  A configuration carrying more than
     nsites + tol of mass can never stabilize (mass is conserved and a stable
     state holds at most one per site), so it is reported as exploded without
-    stepping.
+    stepping.  ``step_limit=k`` runs at most k parallel steps, so k = 1 is a
+    single step in which every unstable site topples at once.
 
-    Each step applies the operator's one generator implementation,
-    ``operators.BufferedGenerator``, whose buffers are allocated once per
-    call and overwritten on every step: the excess is written into its
-    input buffer and L e is read from its output buffer.  Heights and
-    odometer are updated in place on copies of the input fields.  The
-    generator's fixed summation order (nearest neighbour) and once-per-call
-    kernel transform (long range, two FFTs a step) keep every report,
-    odometer and final field bit-identical to the reference engine frozen in
-    the tests.  ``step_limit=k`` runs at most k parallel steps, so k = 1 is
-    a single step in which every unstable site topples at once.
+    This is the one-replicate call of the stacked engine, ``stabilize_stack``:
+    heights and odometer are toppled in place on copies of the input fields,
+    through ``operators.BufferedGenerator``, whose fixed summation order
+    (nearest neighbour) and once-per-call kernel transform (long range) keep
+    every report, odometer and final field bit-identical to the reference
+    engine frozen in the tests.
     """
-    shape = state.op.shape
-    if tol is None:
-        tol = 1e-10 * shape.nsites
-    total_mass = float(state.s.values.sum())
-    # The explosion margin never drops below the rounding noise of summing
-    # nsites heights, so a critical configuration (mass exactly nsites) is
-    # not misread as exploding when tol is tiny or zero.
-    if total_mass > shape.nsites + max(tol, 1e-12 * shape.nsites):
-        e = _excess(state.s.values)
-        report = StabilizationReport("exploded", 0, float(e.max()), float(e.sum()))
-        return state, report
-
-    op = state.op
-    gen = BufferedGenerator(op)
-    s = state.s.values.copy()
-    u = state.u.values.copy()
-    steps = 0
-    while True:
-        e = _excess_into(gen, s)
-        total = float(e.sum())
-        if total <= tol:
-            status = "stabilized"
-            break
-        if steps >= step_limit:
-            status = "step-limit"
-            break
-        _topple(gen, s, u)
-        steps += 1
-    final = SandpileState(op, LatticeField(shape, s), LatticeField(shape, u), state.t + steps)
-    return final, StabilizationReport(status, steps, float(e.max()), total)
+    return next(stabilize_stack([state], tol, step_limit))
 
 
 def stabilize_sequential(
@@ -197,14 +262,15 @@ def stabilize_sequential(
     shape = state.op.shape
     if tol is None:
         tol = 1e-10 * shape.nsites
-    total_mass = float(state.s.values.sum())
-    if total_mass > shape.nsites + max(tol, 1e-12 * shape.nsites):
-        e = _excess(state.s.values)
-        return state, StabilizationReport("exploded", 0, float(e.max()), float(e.sum()))
-    current = state
+    exploded = _explosion(state, tol)
+    if exploded is not None:
+        return state, exploded
+    order = _checked_order(order, shape)
+    s, u = _pass_fields(state)
+    topple_pass = _sequential_pass(state.op)
     passes = 0
     while True:
-        e = _excess(current.s.values)
+        e = _excess(np.reshape(s, shape.dims))
         total = float(e.sum())
         if total <= tol:
             status = "stabilized"
@@ -212,10 +278,11 @@ def stabilize_sequential(
         if passes >= pass_limit:
             status = "step-limit"
             break
-        current = sequential_topple_pass(current, order)
+        topple_pass(s, u, order)
         passes += 1
-    e = _excess(current.s.values)
-    return current, StabilizationReport(status, passes, float(e.max()), float(e.sum()))
+    final = SandpileState(state.op, LatticeField(shape, np.reshape(s, shape.dims)),
+                          LatticeField(shape, np.reshape(u, shape.dims)), state.t + passes)
+    return final, StabilizationReport(status, passes, float(e.max()), total)
 
 
 @dataclass(frozen=True)
@@ -240,19 +307,25 @@ def density_probe(
 
     Heights are density plus small Gaussian fluctuations, so subcritical
     densities stabilize and supercritical ones explode by the mass test.
-    Reports the stabilized fraction and the mean odometer over all trials.
+    Reports the stabilized fraction and the mean odometer over all trials;
+    an exploded trial adds an odometer of 0.  Each trial draws from its own
+    stream, and the trials that do not explode step together through
+    ``stabilize_stack`` (stacks of at most ``STACK_SITES`` sites), with the
+    per-trial results of separate ``stabilize`` calls, summed in trial order.
     """
     if op is None:
         op = OperatorSpec.nearest_neighbour(shape)
+
+    def trial_states():
+        for trial in range(trials):
+            gen = generator(seed, 7, trial)
+            s = density + noise_scale * gen.standard_normal(shape.dims)
+            yield SandpileState.initial(op, LatticeField(shape, s))
+
     stabilized = 0
     odometer_sum = 0.0
-    for trial in range(trials):
-        gen = generator(seed, 7, trial)
-        s = density + noise_scale * gen.standard_normal(shape.dims)
-        state = SandpileState.initial(op, LatticeField(shape, s))
-        final, report = stabilize(state, tol=tol, step_limit=step_limit)
+    for final, report in stabilize_stack(trial_states(), tol, step_limit):
         if report.status == "stabilized":
             stabilized += 1
         odometer_sum += float(final.u.values.mean())
     return DensityProbeResult(density, trials, stabilized / trials, odometer_sum / trials)
-

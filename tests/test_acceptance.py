@@ -48,6 +48,7 @@ from sandlab.toppling import (
     density_probe,
     stabilize,
     stabilize_sequential,
+    stabilize_stack,
 )
 
 
@@ -74,19 +75,27 @@ def critical_runs():
     global _critical_runs
     if _critical_runs is not None:
         return _critical_runs
-    runs = []
-    for i in range(100):
-        d, n, kind = _CRITICAL_CELLS[i % len(_CRITICAL_CELLS)]
+    ops = {}
+    for cell in _CRITICAL_CELLS:
+        d, n, kind = cell
         shape = TorusShape(d, n)
         if kind == "nn":
-            op = OperatorSpec.nearest_neighbour(shape)
+            ops[cell] = OperatorSpec.nearest_neighbour(shape)
         else:
-            op = OperatorSpec.long_range(shape, 1.0)
-        s = critical_config(shape, 1000 + i)
-        mass0 = float(s.values.sum())
-        u_closed = odometer_spectral(s, op)
-        final, rep = stabilize(SandpileState.initial(op, s))
-        runs.append((shape, mass0, u_closed, final, rep))
+            ops[cell] = OperatorSpec.long_range(shape, 1.0)
+    cells = [_CRITICAL_CELLS[i % len(_CRITICAL_CELLS)] for i in range(100)]
+    configs = [critical_config(ops[cell].shape, 1000 + i) for i, cell in enumerate(cells)]
+    # The runs of one (d, n, kind) cell step together as one replicate stack.
+    finals = {}
+    for cell, op in ops.items():
+        mine = [i for i, c in enumerate(cells) if c == cell]
+        states = [SandpileState.initial(op, configs[i]) for i in mine]
+        finals.update(zip(mine, stabilize_stack(states)))
+    runs = []
+    for i, (cell, s) in enumerate(zip(cells, configs)):
+        op = ops[cell]
+        final, rep = finals[i]
+        runs.append((op.shape, float(s.values.sum()), odometer_spectral(s, op), final, rep))
     _critical_runs = runs
     return runs
 

@@ -1,10 +1,13 @@
 """Toppling dynamics: conservation, order independence, explosion detection."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from sandlab import TorusShape, LatticeField, OperatorSpec
+from sandlab import TorusShape, LatticeField, OperatorSpec, toppling
+from sandlab._util import generator
 from sandlab.sampling import SigmaSpec, make_initial_config, sample_sigma
 from sandlab.toppling import (
     SandpileState,
@@ -13,6 +16,7 @@ from sandlab.toppling import (
     sequential_topple_pass,
     stabilize,
     stabilize_sequential,
+    stabilize_stack,
 )
 
 
@@ -267,3 +271,195 @@ def test_sequential_lr_pass_matches_roll_form():
     assert np.count_nonzero(u) > 0
     assert np.array_equal(after.s.values, s)
     assert np.array_equal(after.u.values, u)
+
+
+# --- stacked engine --------------------------------------------------------
+
+def reference_outcome(state, tol=None, step_limit=500_000):
+    """What one state's stabilization must give: the explosion certificate of
+    the mass test, or the frozen reference engine's run."""
+    nsites = state.op.shape.nsites
+    if tol is None:
+        tol = 1e-10 * nsites
+    if state.s.values.sum() > nsites + max(tol, 1e-12 * nsites):
+        e = reference_excess(state.s.values)
+        return state.s.values, state.u.values, StabilizationReport("exploded", 0, float(e.max()), float(e.sum()))
+    return reference_stabilize(state, tol, step_limit)
+
+
+@st.composite
+def toppling_stacks(draw):
+    kind, d, n = draw(st.sampled_from(ENGINE_CASES))
+    shape = TorusShape(d, n)
+    if kind == "nn":
+        op = OperatorSpec.nearest_neighbour(shape)
+    else:
+        op = OperatorSpec.long_range(shape, draw(st.sampled_from([0.5, 1.0, 2.5])))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    states = []
+    for _ in range(draw(st.integers(1, 5))):
+        noise = draw(st.floats(0.05, 3.0)) * rng.standard_normal(shape.dims)
+        # critical, subcritical (already stable at 0.3 with little noise), or
+        # carrying a surplus that certifies explosion
+        offset = draw(st.sampled_from([0.0, 0.0, 0.01, 0.3, -0.05]))
+        s = 1.0 - offset + (noise - noise.mean())
+        u = rng.random(shape.dims) if draw(st.booleans()) else np.zeros(shape.dims)
+        states.append(SandpileState(op, LatticeField(shape, s), LatticeField(shape, u), draw(st.integers(0, 3))))
+    return states
+
+
+@settings(max_examples=60, deadline=None)
+@given(states=toppling_stacks(), step_limit=st.sampled_from([0, 1, 7, 30, 200, 500_000]))
+def test_stack_is_bit_identical_to_reference(states, step_limit):
+    results = list(stabilize_stack(states, step_limit=step_limit))
+    assert len(results) == len(states)
+    for state, (final, report) in zip(states, results):
+        s_ref, u_ref, report_ref = reference_outcome(state, step_limit=step_limit)
+        assert report == report_ref
+        assert np.array_equal(final.s.values, s_ref)
+        assert np.array_equal(final.u.values, u_ref)
+        assert final.t == state.t + report.steps
+        if report.status == "exploded":
+            assert final is state
+
+
+def test_stack_mixes_every_outcome():
+    # One stack in which replicates stabilize at different steps, one hits the
+    # step limit and one explodes by the mass test.
+    shape = TorusShape(2, 6)
+    op = OperatorSpec.nearest_neighbour(shape)
+    rng = np.random.default_rng(4)
+    states = []
+    for offset, amplitude in ((0.3, 0.01), (0.05, 0.3), (0.0, 0.5), (-0.1, 0.1), (0.02, 1.0), (0.1, 0.3), (0.2, 0.5)):
+        z = rng.standard_normal(shape.dims)
+        s = 1.0 - offset + amplitude * (z - z.mean())
+        states.append(SandpileState.initial(op, LatticeField(shape, s)))
+    step_limit = 500
+    results = list(stabilize_stack(states, step_limit=step_limit))
+    assert [report.status for _, report in results] == [
+        "stabilized", "stabilized", "step-limit", "exploded", "step-limit", "stabilized", "stabilized"]
+    assert [report.steps for _, report in results] == [0, 137, 500, 0, 500, 73, 70]
+    for state, (final, report) in zip(states, results):
+        s_ref, u_ref, report_ref = reference_outcome(state, step_limit=step_limit)
+        assert report == report_ref
+        assert np.array_equal(final.s.values, s_ref)
+        assert np.array_equal(final.u.values, u_ref)
+
+
+def test_stack_refuses_mixed_operators():
+    a = peaked_state(n=5, background=0.5)
+    b = SandpileState.initial(OperatorSpec.long_range(a.op.shape, 1.0), a.s)
+    with pytest.raises(ValueError, match="share one operator"):
+        list(stabilize_stack([a, b]))
+    assert list(stabilize_stack([])) == []
+
+
+def reference_density_probe(density, shape, op=None, trials=20, seed=0, noise_scale=0.01,
+                            tol=None, step_limit=500_000):
+    # A frozen copy of the per-trial loop that the stacked probe replaced.
+    if op is None:
+        op = OperatorSpec.nearest_neighbour(shape)
+    stabilized = 0
+    odometer_sum = 0.0
+    for trial in range(trials):
+        gen = generator(seed, 7, trial)
+        s = density + noise_scale * gen.standard_normal(shape.dims)
+        _, u, report = reference_outcome(SandpileState.initial(op, LatticeField(shape, s)), tol, step_limit)
+        if report.status == "stabilized":
+            stabilized += 1
+        odometer_sum += float(u.mean())
+    return stabilized / trials, odometer_sum / trials
+
+
+PROBE_CASES = [("nn", 1, n) for n in (2, 5, 16)] + [("nn", 2, n) for n in (2, 3, 6)] + [
+    ("nn", 3, n) for n in (2, 4)] + [("lr", 1, 8), ("lr", 2, 4)]
+
+
+@settings(max_examples=40, deadline=None)
+@given(
+    case=st.sampled_from(PROBE_CASES),
+    density=st.sampled_from([0.9, 0.99, 1.0, 1.01]),
+    noise_scale=st.sampled_from([0.01, 0.05, 0.3]),
+    trials=st.integers(1, 12),
+    seed=st.integers(0, 2**16),
+    step_limit=st.sampled_from([3, 50, 500_000]),
+    cap=st.sampled_from([1, 16, 100, 1 << 20]),
+)
+@example(case=("nn", 2, 6), density=1.0, noise_scale=0.05, trials=12, seed=0, step_limit=500_000, cap=100)
+def test_density_probe_matches_per_trial_loop(case, density, noise_scale, trials, seed, step_limit, cap):
+    kind, d, n = case
+    shape = TorusShape(d, n)
+    op = OperatorSpec.nearest_neighbour(shape) if kind == "nn" else OperatorSpec.long_range(shape, 1.0)
+    # A lowered cap splits the trials over several stacks; no result may move.
+    stacks = []
+    engine = toppling._stabilize_stack
+
+    def recording(op, s, u, tol, step_limit):
+        stacks.append(len(s))
+        return engine(op, s, u, tol, step_limit)
+
+    with mock.patch.object(toppling, "STACK_SITES", cap), mock.patch.object(toppling, "_stabilize_stack", recording):
+        result = density_probe(density, shape, op=op, trials=trials, seed=seed,
+                               noise_scale=noise_scale, step_limit=step_limit)
+    fraction, mean = reference_density_probe(density, shape, op, trials, seed, noise_scale, step_limit=step_limit)
+    assert result.fraction_stabilized == fraction
+    assert result.mean_odometer == mean
+    assert all(size <= max(1, cap // shape.nsites) for size in stacks)
+
+
+def test_density_probe_exploded_trials_add_zero_in_order():
+    # At density 1 with wide noise some trials explode; they count as 0 and
+    # the sum still runs in trial order, so the mean is bit-identical.
+    shape = TorusShape(2, 6)
+    result = density_probe(1.0, shape, trials=20, seed=3, noise_scale=0.3)
+    fraction, mean = reference_density_probe(1.0, shape, trials=20, seed=3, noise_scale=0.3)
+    assert 0.0 < result.fraction_stabilized < 1.0
+    assert result.fraction_stabilized == fraction
+    assert result.mean_odometer == mean
+
+
+def reference_neighbour_index_table(shape):
+    coords = np.stack(
+        np.meshgrid(*[np.arange(shape.n)] * shape.d, indexing="ij"), axis=-1
+    ).reshape(-1, shape.d)
+    cols = []
+    for axis in range(shape.d):
+        for step in (1, -1):
+            shifted = coords.copy()
+            shifted[:, axis] = (shifted[:, axis] + step) % shape.n
+            cols.append(np.ravel_multi_index(shifted.T, shape.dims))
+    return np.stack(cols, axis=1)
+
+
+def reference_nn_sequential_pass(state, order):
+    # A frozen copy of the numpy-scalar loop, and of its neighbour table, that
+    # the list-based pass replaced.
+    shape = state.op.shape
+    sf = state.s.values.copy().reshape(-1)
+    uf = state.u.values.copy().reshape(-1)
+    neigh = reference_neighbour_index_table(shape)
+    share = 1.0 / (2.0 * shape.d)
+    for x in np.asarray(order, dtype=np.int64):
+        e = sf[x] - 1.0
+        if e <= 0.0:
+            continue
+        sf[x] -= e
+        np.add.at(sf, neigh[x], e * share)
+        uf[x] += e
+    return sf.reshape(shape.dims), uf.reshape(shape.dims)
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(2, 6), seed=st.integers(0, 2**32 - 1), repeats=st.booleans())
+def test_sequential_nn_pass_matches_numpy_loop(d, n, seed, repeats):
+    shape = TorusShape(d, n)
+    rng = np.random.default_rng(seed)
+    s = 1.0 + 0.5 * rng.standard_normal(shape.dims)
+    u = rng.random(shape.dims)
+    state = SandpileState(OperatorSpec.nearest_neighbour(shape), LatticeField(shape, s), LatticeField(shape, u))
+    order = rng.integers(0, shape.nsites, 3 * shape.nsites) if repeats else rng.permutation(shape.nsites)
+    s_ref, u_ref = reference_nn_sequential_pass(state, order)
+    after = sequential_topple_pass(state, order)
+    assert np.array_equal(after.s.values, s_ref)
+    assert np.array_equal(after.u.values, u_ref)
+    assert after.t == state.t + 1
