@@ -64,21 +64,16 @@ def _checked_order(order, shape: TorusShape) -> list:
     return order.tolist()
 
 
-def _pass_fields(state: SandpileState) -> tuple:
-    """Copies of heights and odometer in the form ``_sequential_pass`` updates:
-    flat Python lists for nearest neighbour, arrays for long range."""
-    if state.op.kind == "nn":
-        return state.s.values.ravel().tolist(), state.u.values.ravel().tolist()
-    return state.s.values.copy(), state.u.values.copy()
+def _sequential_pass(state: SandpileState) -> tuple:
+    """A pass function and the copies of heights and odometer it updates.
 
-
-def _sequential_pass(op: OperatorSpec):
-    """A pass function that topples each listed site of s, u (as given by
-    ``_pass_fields``) in turn, in place; its tables are built once."""
-    shape = op.shape
+    ``topple_pass(s, u, order)`` topples each listed site in turn, in place.
+    For nearest neighbour s and u are flat Python lists: Python floats round
+    like float64 scalars, so they give the same bits as numpy element access
+    at a fraction of the cost.  For long range they are arrays.
+    """
+    op, shape = state.op, state.op.shape
     if op.kind == "nn":
-        # Python floats round like float64 scalars, so lists give the same
-        # bits as numpy element access at a fraction of the cost.
         neigh = _neighbour_lists(shape)
         share = 1.0 / (2.0 * shape.d)
 
@@ -92,7 +87,7 @@ def _sequential_pass(op: OperatorSpec):
                 for y in neigh[x]:
                     s[y] += a
                 u[x] += e
-        return nn_pass
+        return nn_pass, state.s.values.ravel().tolist(), state.u.values.ravel().tolist()
 
     p = op.kernel()
     # offset[x, y] = (y - x) mod n: indexing p by the rows of the site's
@@ -109,7 +104,7 @@ def _sequential_pass(op: OperatorSpec):
             s += e * p[np.ix_(*offset[list(idx)])]
             s[idx] -= e
             u[idx] += e
-    return lr_pass
+    return lr_pass, state.s.values.copy(), state.u.values.copy()
 
 
 def sequential_topple_pass(state: SandpileState, order) -> SandpileState:
@@ -120,14 +115,14 @@ def sequential_topple_pass(state: SandpileState, order) -> SandpileState:
     """
     shape = state.op.shape
     order = _checked_order(order, shape)
-    s, u = _pass_fields(state)
-    _sequential_pass(state.op)(s, u, order)
+    topple_pass, s, u = _sequential_pass(state)
+    topple_pass(s, u, order)
     dims = shape.dims
     return SandpileState(state.op, LatticeField(shape, np.reshape(s, dims)),
                          LatticeField(shape, np.reshape(u, dims)), state.t + 1)
 
 
-def _neighbour_lists(shape: TorusShape) -> tuple:
+def _neighbour_lists(shape: TorusShape) -> list:
     """Flat indices of the 2d directional neighbours of every site, x + e
     then x - e along axis 0, then axis 1, ...
 
@@ -136,7 +131,7 @@ def _neighbour_lists(shape: TorusShape) -> tuple:
     """
     index = np.arange(shape.nsites).reshape(shape.dims)
     cols = [np.roll(index, -step, axis).ravel() for axis in range(shape.d) for step in (1, -1)]
-    return tuple(map(tuple, np.stack(cols, axis=1).tolist()))
+    return np.stack(cols, axis=1).tolist()
 
 
 # At most this many sites step in one replicate stack, so a stack's buffers
@@ -266,8 +261,7 @@ def stabilize_sequential(
     if exploded is not None:
         return state, exploded
     order = _checked_order(order, shape)
-    s, u = _pass_fields(state)
-    topple_pass = _sequential_pass(state.op)
+    topple_pass, s, u = _sequential_pass(state)
     passes = 0
     while True:
         e = _excess(np.reshape(s, shape.dims))

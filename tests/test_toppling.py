@@ -289,7 +289,7 @@ def reference_outcome(state, tol=None, step_limit=500_000):
 
 @st.composite
 def toppling_stacks(draw):
-    kind, d, n = draw(st.sampled_from(ENGINE_CASES))
+    kind, d, n = draw(st.sampled_from(ENGINE_CASES + [("lr", 3, n) for n in (2, 3, 4)]))
     shape = TorusShape(d, n)
     if kind == "nn":
         op = OperatorSpec.nearest_neighbour(shape)
