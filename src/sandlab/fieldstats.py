@@ -223,18 +223,28 @@ def run_variance_experiment(
     return VarianceExperiment(mode, limit, tuple(rows))
 
 
+_PAIR_SITES = 4096
+
+
+def _pairings(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
+    """<row, k> for each row of a (count, nsites) block, single-threaded.
+
+    The sum runs over blocks of _PAIR_SITES sites in order, one einsum per
+    block.  einsum splits a reduction longer than its 8192-element buffer at
+    places that depend on how many rows share the call, and a BLAS product
+    does so for any length, so only blocks this short give every row the
+    same bits however rows are grouped.
+    """
+    out = np.einsum("ij,j->i", rows[:, :_PAIR_SITES], k[:_PAIR_SITES])
+    for lo in range(_PAIR_SITES, k.size, _PAIR_SITES):
+        out += np.einsum("ij,j->i", rows[:, lo : lo + _PAIR_SITES], k[lo : lo + _PAIR_SITES])
+    return out
+
+
 def _pairing_samples(
     spec: SigmaSpec, shape: TorusShape, seed: int, samples: int, ks: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Samples of <sigma, k> for each pairing vector k, from one pass over the chunks.
-
-    Each product runs over a whole chunk, and unlike the mean-odometer solves
-    it is not split into sub-batches: the BLAS matrix-vector kernel sums a
-    row in an order that depends on how rows are grouped, so row groups that
-    are not a multiple of four change results in the last bits (at d = 2,
-    n = 16 to 64 with OpenBLAS 0.3.31, groups of 1, 3, 5 or 7 rows moved 38
-    to 241 of a chunk's 256 results by up to 2.4e-13).
-    """
+    """Samples of <sigma, k> for each pairing vector k, from one pass over the chunks."""
     outs = [np.empty(samples) for _ in ks]
     done = 0
     chunk_index = 0
@@ -242,7 +252,7 @@ def _pairing_samples(
         block = sigma_chunk(spec, shape, seed, chunk_index)
         take = min(samples - done, block.shape[0])
         for out, k in zip(outs, ks):
-            out[done : done + take] = block[:take].reshape(take, -1) @ k
+            out[done : done + take] = _pairings(block[:take].reshape(take, -1), k)
         done += take
         chunk_index += 1
     return outs

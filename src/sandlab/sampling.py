@@ -5,17 +5,18 @@ the number of sites and stabilization is always on the table.  The noise field
 sigma comes in five flavors: independent Gaussians, spectrally colored
 Gaussians, symmetric alpha-stable, symmetrized Pareto, and centered uniforms.
 
-Draws are keyed per (seed, site): every site owns a fixed block of
-uniforms from a counter-based stream and variates are produced from those
-uniforms by explicit inverse transforms.  Two calls with the same seed are
-bit-identical no matter how the surrounding code is threaded or chunked.
+Draws are keyed per (seed, stream, replicate) in counter-based Philox
+streams, so two calls with the same seed are bit-identical no matter how the
+surrounding code is threaded or chunked.
 
-The stream layout is two uniform planes per site, replicate after
-replicate, whatever the regime.  A regime whose transform reads only the
-first plane (Gaussian, uniform, correlated, and stable at alpha = 1) skips
-the second by advancing the Philox counter, and a reader that starts inside
-a chunk skips the replicates before it the same way.  Skipped draws are
-never computed, and every draw that is read keeps its stream position.
+Gaussian regimes (independent, and correlated before its spectral filter)
+fill replicate r with ziggurat ``standard_normal`` draws from the substream
+at counter offset r << 64.  The others map uniforms by explicit inverse
+transforms, two uniform planes per site, replicate after replicate.  One
+that reads only the first plane (uniform, and stable at alpha = 1) skips the
+second by advancing the counter, and a reader that starts inside a chunk
+skips the replicates before it the same way, so skipped draws are never
+computed and every draw that is read keeps its stream position.
 """
 
 from __future__ import annotations
@@ -24,7 +25,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
-from scipy.special import ndtri
 
 from ._util import generator
 from .lattice import LatticeField, TorusShape, _reverse_indices
@@ -116,72 +116,66 @@ def validate_multiplier(khat, shape: TorusShape) -> MultiplierCheck:
 
 
 def _planes_read(spec: SigmaSpec) -> int:
-    """Uniform planes the regime's transform reads: u0 alone, or u0 and u1."""
+    """Uniform planes the regime's transform reads: none (Gaussian), u0, or u0 and u1."""
+    if spec.regime in ("iid-gaussian", "correlated-gaussian"):
+        return 0
     if spec.regime == "pareto" or (spec.regime == "stable" and spec.alpha != 1.0):
         return _DRAWS_PER_SITE
     return 1
 
 
-def _seek(gen: np.random.Generator, pos: int, to: int) -> None:
-    """Move gen from double `pos` of its stream to double `to` >= pos.
+def _site_block(seed, shape: TorusShape, count: int, stream, planes: int,
+                start: int = 0) -> np.ndarray:
+    """Draws of replicates start .. start + count - 1 of a stream.
 
-    One Philox counter step yields four doubles.  The rest of the step in
-    progress is drawn, whole steps are skipped with ``advance`` and the
-    unaligned tail is drawn.
-    """
-    head = min(to, -(-pos // 4) * 4) - pos
-    gen.random(head)
-    rest = to - pos - head
-    if rest:  # advance, even advance(0), drops the doubles left in the buffer
-        gen.bit_generator.advance(rest // 4)
-        gen.random(rest % 4)
-
-
-def _site_uniform_block(seed, shape: TorusShape, count: int, stream, planes: int,
-                        start: int = 0) -> np.ndarray:
-    """Uniforms (count, planes) + dims of replicates start .. start + count - 1.
-
-    Each replicate owns _DRAWS_PER_SITE planes of the stream; the first
-    `planes` are read and everything else is skipped.
+    With planes = 0 these are standard normals (count,) + dims, replicate r
+    filling the substream at counter offset r << 64.  Otherwise they are
+    uniforms (count, planes) + dims, replicate r reading the first `planes`
+    of its _DRAWS_PER_SITE planes, which start at double r * stride.  The
+    stream seeks to each replicate by setting its counter, so replicates
+    and planes that are not read are never drawn.
     """
     gen = generator(seed, *stream)
-    u = np.empty((count, planes) + shape.dims)
+    bits, state = gen.bit_generator, gen.bit_generator.state
+    counter = state["state"]["counter"]  # zero in a fresh stream, so setting it to k is advance(k)
+    x = np.empty((count,) + ((planes,) if planes else ()) + shape.dims)
     stride = _DRAWS_PER_SITE * shape.nsites
-    pos = 0
-    for r, row in enumerate(u.reshape(count, -1)):
+    for r, row in enumerate(x.reshape(count, -1)):
+        if not planes:
+            counter[1] = start + r
+            bits.state = state
+            gen.standard_normal(out=row)
+            continue
         at = (start + r) * stride
-        _seek(gen, pos, at)
+        if r == 0 or row.size != stride:  # else the last row ended at `at`
+            counter[0] = at // 4  # one counter step yields four doubles
+            bits.state = state
+            gen.random(at % 4)
         gen.random(out=row)
-        pos = at + row.size
-    return np.clip(u, _U_LO, _U_HI, out=u)
+    return np.clip(x, _U_LO, _U_HI, out=x) if planes else x
 
 
-def _transform(spec: SigmaSpec, u: np.ndarray, shape: TorusShape) -> np.ndarray:
-    """Map per-site uniforms (count, planes) + dims to sigma variates.
-
-    Gaussian regimes overwrite the first plane of u.
-    """
-    u0 = u[:, 0]
+def _transform(spec: SigmaSpec, x: np.ndarray, shape: TorusShape) -> np.ndarray:
+    """Map the draws of `_site_block` to sigma variates (count,) + dims."""
     if spec.regime == "iid-gaussian":
-        return ndtri(u0, out=u0)
+        return x
     if spec.regime == "iid-uniform-centered":
-        return (u0 - 0.5) * np.sqrt(12.0)
+        return (x[:, 0] - 0.5) * np.sqrt(12.0)
     if spec.regime == "stable":
-        return spec.scale * _stable_standard(spec.alpha, u)
+        return spec.scale * _stable_standard(spec.alpha, x)
     if spec.regime == "pareto":
-        magnitude = (1.0 - u[:, 1]) ** (-1.0 / spec.index)
-        sign = np.where(u0 < 0.5, -1.0, 1.0)
+        magnitude = (1.0 - x[:, 1]) ** (-1.0 / spec.index)
+        sign = np.where(x[:, 0] < 0.5, -1.0, 1.0)
         # random-sign symmetrization already has median zero, so no extra shift
         return sign * magnitude
     if spec.regime == "correlated-gaussian":
         check = validate_multiplier(spec.khat, shape)
         if not check.valid:
             raise ValueError(f"covariance multiplier rejected: {check.reason}")
-        white = ndtri(u0, out=u0)
         # khat is even (checked above), so the half grid carries all of it.
         amp = np.sqrt(shape.nsites * np.asarray(spec.khat, dtype=np.float64)[..., : shape.n // 2 + 1])
-        axes = tuple(range(1, white.ndim))
-        coeffs = scipy.fft.rfftn(white, axes=axes)
+        axes = tuple(range(1, x.ndim))
+        coeffs = scipy.fft.rfftn(x, axes=axes)
         coeffs *= amp
         return scipy.fft.irfftn(coeffs, s=shape.dims, axes=axes)
     raise ValueError(f"unknown sigma regime {spec.regime!r}")
@@ -208,8 +202,8 @@ def _stable_standard(alpha: float, u: np.ndarray) -> np.ndarray:
 
 def sample_sigma(spec: SigmaSpec, shape: TorusShape, seed: int) -> LatticeField:
     """One noise field; bit-identical for equal (spec, shape, seed)."""
-    u = _site_uniform_block(seed, shape, 1, (_FIELD_STREAM,), _planes_read(spec))
-    return LatticeField(shape, _transform(spec, u, shape)[0])
+    x = _site_block(seed, shape, 1, (_FIELD_STREAM,), _planes_read(spec))
+    return LatticeField(shape, _transform(spec, x, shape)[0])
 
 
 def sigma_chunk(spec: SigmaSpec, shape: TorusShape, seed: int, chunk_index: int,
@@ -218,13 +212,12 @@ def sigma_chunk(spec: SigmaSpec, shape: TorusShape, seed: int, chunk_index: int,
 
     Replicate r of an experiment lives at position r % count of chunk
     r // count, so chunked and monolithic consumers see identical fields,
-    and any run of positions can be drawn on its own.  The chunk's stream
-    keeps two uniform planes per site; the replicates before `start` and the
-    planes the regime does not read are skipped, not drawn.
+    and any run of positions can be drawn on its own: a Gaussian replicate
+    reads its own substream of the chunk's stream, and for the other regimes
+    the replicates before `start` and the unread planes are skipped.
     """
-    u = _site_uniform_block(seed, shape, count, (_CHUNK_STREAM, chunk_index),
-                            _planes_read(spec), start)
-    return _transform(spec, u, shape)
+    x = _site_block(seed, shape, count, (_CHUNK_STREAM, chunk_index), _planes_read(spec), start)
+    return _transform(spec, x, shape)
 
 
 def replicate_sigma(spec: SigmaSpec, shape: TorusShape, seed: int, index: int) -> np.ndarray:

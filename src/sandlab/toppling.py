@@ -89,19 +89,19 @@ def _sequential_pass(state: SandpileState) -> tuple:
                 u[x] += e
         return nn_pass, state.s.values.ravel().tolist(), state.u.values.ravel().tolist()
 
-    p = op.kernel()
-    # offset[x, y] = (y - x) mod n: indexing p by the rows of the site's
-    # coordinates gives the kernel centred on that site
-    ar = np.arange(shape.n)
-    offset = (ar[None, :] - ar[:, None]) % shape.n
+    # tiled[n - x + y] = p[(y - x) mod n] axis by axis, so a window of the
+    # kernel tiled to (2n,) * d is the kernel centred on site x
+    n, tiled = shape.n, np.tile(op.kernel(), (2,) * shape.d)
+    sites = [(x, tuple(slice(n - c, 2 * n - c) for c in x))
+             for x in itertools.product(range(n), repeat=shape.d)]
 
     def lr_pass(s, u, order):
         for x in order:
-            idx = np.unravel_index(x, shape.dims)
+            idx, window = sites[x]
             e = s[idx] - 1.0
             if e <= 0.0:
                 continue
-            s += e * p[np.ix_(*offset[list(idx)])]
+            s += e * tiled[window]
             s[idx] -= e
             u[idx] += e
     return lr_pass, state.s.values.copy(), state.u.values.copy()

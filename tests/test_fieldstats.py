@@ -5,7 +5,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
-from scipy.special import ndtri
+from hypothesis import given, settings, strategies as st
 
 from sandlab import TorusShape, LatticeField, OperatorSpec, fieldstats
 from sandlab import TestFunction as Wave
@@ -283,16 +283,25 @@ def test_mean_odometer_curve_d1_slope():
     assert all(row.value.stderr > 0 for row in curve.rows)
 
 
+def reference_normals(seed, shape, count, stream):
+    """Gaussian layout: replicate r is the standard normals of its own fresh
+    copy of the stream, advanced to counter offset r << 64."""
+    out = np.empty((count,) + shape.dims)
+    for r in range(count):
+        gen = generator(seed, *stream)
+        gen.bit_generator.advance(r << 64)
+        out[r] = gen.standard_normal(shape.dims)
+    return out
+
+
 def whole_chunk_neg_min_eta(op, samples, seed):
-    """-min eta drawn and solved one whole capped chunk at a time, both uniform planes drawn."""
+    """-min eta drawn and solved one whole capped chunk at a time."""
     shape = op.shape
     per = max(1, min(CHUNK_REPLICATES, 4_000_000 // shape.nsites))
     out = np.empty(samples)
     for chunk_index, first in enumerate(range(0, samples, per)):
         count = min(per, samples - first)
-        u = generator(seed, 1, chunk_index).random((count, 2) + shape.dims)
-        white = ndtri(np.clip(u, 1e-15, float(np.nextafter(1.0, 0.0)))[:, 0])
-        eta = eta_sample_batch(op, white)
+        eta = eta_sample_batch(op, reference_normals(seed, shape, count, (1, chunk_index)))
         out[first : first + count] = -eta.reshape(count, -1).min(axis=1)
     return out
 
@@ -317,6 +326,18 @@ def test_sub_batch_boundaries_never_move_a_replicate(monkeypatch, sub_batch_site
     want = whole_chunk_neg_min_eta(op, samples, 5)
     monkeypatch.setattr(fieldstats, "SUB_BATCH_SITES", sub_batch_sites)
     assert np.array_equal(fieldstats._neg_min_eta_samples(op, samples, 5), want)
+
+
+@settings(max_examples=30, deadline=None)
+@given(m=st.sampled_from([16, 1000, 4096, 4097, 8192, 9216, 16384, 20000]),
+       seed=st.integers(0, 2**32 - 1), cuts=st.lists(st.integers(1, 39), min_size=1, max_size=8))
+def test_pairings_do_not_depend_on_row_grouping(m, seed, cuts):
+    # Rows longer than 8192 sites are where a whole-row einsum regroups sums.
+    rng = np.random.default_rng(seed)
+    rows, k = rng.standard_normal((40, m)), rng.standard_normal(m)
+    bounds = sorted({0, 40, *cuts})
+    split = [fieldstats._pairings(rows[a:b], k) for a, b in zip(bounds, bounds[1:])]
+    assert np.array_equal(np.concatenate(split), fieldstats._pairings(rows, k))
 
 
 def test_mean_odometer_memory_is_a_few_sub_batches():

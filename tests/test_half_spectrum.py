@@ -8,13 +8,13 @@ must agree to 1e-12 relative.
 
 import numpy as np
 from hypothesis import given, settings, strategies as st
-from scipy.special import ndtri
 
 from sandlab import TestFunction as Wave, TorusShape, OperatorSpec
+from sandlab._util import generator
 from sandlab.fieldstats import exact_pairing_variance
 from sandlab.lattice import _reverse_indices, cell_integral_field
 from sandlab.odometer import eta_covariance_exact
-from sandlab.sampling import SigmaSpec, _site_uniform_block, sigma_chunk
+from sandlab.sampling import SigmaSpec, sigma_chunk
 
 REL = 1e-12
 MAX_N = {1: 40, 2: 16, 3: 8}
@@ -47,7 +47,12 @@ def reference_pairing_variance(op, f, khat):
 
 
 def reference_correlated_chunk(khat, shape, seed, chunk_index, count):
-    white = ndtri(_site_uniform_block(seed, shape, count, (1, chunk_index), 2)[:, 0])
+    # Gaussian layout: replicate r fills its stream's substream at counter offset r << 64.
+    white = np.empty((count,) + shape.dims)
+    for r in range(count):
+        gen = generator(seed, 1, chunk_index)
+        gen.bit_generator.advance(r << 64)
+        white[r] = gen.standard_normal(shape.dims)
     axes = tuple(range(1, white.ndim))
     coeffs = np.fft.fftn(white, axes=axes) * np.sqrt(shape.nsites * khat)
     return np.fft.ifftn(coeffs, axes=axes).real

@@ -205,12 +205,25 @@ def reference_uniforms(seed, shape, count, stream):
     return np.clip(u, 1e-15, float(np.nextafter(1.0, 0.0)))
 
 
+def reference_normals(seed, shape, count, stream, start=0):
+    """Gaussian layout: replicate r is the standard normals of its own fresh
+    copy of the stream, advanced to counter offset r << 64."""
+    out = np.empty((count,) + shape.dims)
+    for r in range(count):
+        gen = generator(seed, *stream)
+        gen.bit_generator.advance((start + r) << 64)
+        out[r] = gen.standard_normal(shape.dims)
+    return out
+
+
+GAUSSIAN = ("iid-gaussian", "correlated-gaussian")
+
+
+# Gaussian regimes draw normals directly and have nothing to clip.
 @pytest.mark.parametrize("spec", [
-    SigmaSpec.iid_gaussian(),
     SigmaSpec.iid_uniform(),
     SigmaSpec.stable(1.3, scale=0.5),
     SigmaSpec.pareto(2.5),
-    SigmaSpec.correlated_gaussian(np.full((5, 5), 0.04)),
 ], ids=lambda spec: spec.regime)
 def test_in_place_clip_leaves_every_draw_unchanged(spec):
     shape = TorusShape(2, 5)
@@ -245,16 +258,38 @@ REGIMES = {
 def test_skipping_draw_equals_the_two_plane_draw(shape, regime, chunk_index, start, count):
     # Only the planes a regime reads are drawn and the rest of the stream is
     # skipped, yet every variate equals the one the full two-plane draw gives.
+    # Gaussian regimes are held to their per-replicate substreams instead.
     spec = REGIMES[regime](shape)
-    full = reference_uniforms(9, shape, start + count, (1, chunk_index))
+    reference = reference_normals if spec.regime in GAUSSIAN else reference_uniforms
+    full = reference(9, shape, start + count, (1, chunk_index))
     want = sampling._transform(spec, full, shape)[start:]
     assert np.array_equal(sigma_chunk(spec, shape, 9, chunk_index, count=count, start=start), want)
-    want = sampling._transform(spec, reference_uniforms(9, shape, 1, (0,)), shape)[0]
+    want = sampling._transform(spec, reference(9, shape, 1, (0,)), shape)[0]
     assert np.array_equal(sample_sigma(spec, shape, 9).values, want)
 
 
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(SHAPES), regime=st.sampled_from(GAUSSIAN),
+       index=st.integers(0, 3 * CHUNK_REPLICATES - 1), before=st.integers(0, 6),
+       after=st.integers(0, 6))
+@example(shape=TorusShape(1, 2), regime="iid-gaussian", index=CHUNK_REPLICATES + 1, before=1, after=0)
+def test_gaussian_replicate_is_the_same_however_it_is_reached(shape, regime, index, before, after):
+    # Replicate `index` alone, inside a chunk read from any start and with any
+    # count, and from its own fresh substream all give the same field.
+    spec = REGIMES[regime](shape)
+    chunk_index, pos = divmod(index, CHUNK_REPLICATES)
+    start = max(0, pos - before)
+    want = sampling._transform(spec, reference_normals(9, shape, 1, (1, chunk_index), pos), shape)[0]
+    within = sigma_chunk(spec, shape, 9, chunk_index, count=pos - start + after + 1, start=start)
+    assert np.array_equal(within[pos - start], want)
+    assert np.array_equal(replicate_sigma(spec, shape, 9, index), want)
+    # sample_sigma reads replicate 0 of the field stream, not of a chunk stream.
+    field = sampling._transform(spec, reference_normals(9, shape, 1, (0,)), shape)[0]
+    assert np.array_equal(sample_sigma(spec, shape, 9).values, field)
+
+
 @pytest.mark.parametrize("regime, planes", [
-    ("iid-gaussian", 1), ("iid-uniform-centered", 1), ("correlated-gaussian", 1),
+    ("iid-gaussian", 0), ("iid-uniform-centered", 1), ("correlated-gaussian", 0),
     ("stable-1", 1), ("stable", 2), ("pareto", 2),
 ])
 def test_each_regime_draws_only_the_planes_it_reads(regime, planes):
