@@ -506,20 +506,18 @@ def _variance_table(exp):
              Key("tol_flatness", "float", default=0.15),
              Key("tol_agreement", "float", default=0.10))
 def _run_variance(p, workers):
-    mode = _variance_mode(p)
-    f = parse_test_function(p["f"], p["d"])
-    exp = run_variance_experiment(mode, f, p["n"], p["samples"], p["seed"], workers=workers)
+    fs = [parse_test_function(p[name], p["d"]) for name in ("f", "f2") if p[name]]
+    exps = run_variance_experiment(_variance_mode(p), fs, p["n"], p["samples"], p["seed"],
+                                   workers=workers)
+    exp = exps[0]
     artifacts = {"variance.csv": _variance_table(exp)}
     flat = exp.ratio_flatness()
     criteria = [CriterionResult("ratio-flat", flat <= p["tol_flatness"],
                                 f"max deviation={flat:.4f} tol={p['tol_flatness']}")]
-    if p["f2"]:
-        f2 = parse_test_function(p["f2"], p["d"])
-        n_top = max(p["n"])
-        exp2 = run_variance_experiment(mode, f2, [n_top], p["samples"], p["seed"], workers=workers)
-        r1 = next(r.ratio for r in exp.rows if r.n == n_top)
-        r2 = exp2.rows[0].ratio
-        gap = abs(r1 - r2) / r1
+    if p["f2"]:  # f2 pairs at the largest size only, in the same pass
+        exp2 = exps[1]
+        r1 = next(r.ratio for r in exp.rows if r.n == exp2.rows[0].n)
+        gap = abs(r1 - exp2.rows[0].ratio) / r1
         artifacts["variance_f2.csv"] = _variance_table(exp2)
         criteria.append(CriterionResult("f-agreement", gap <= p["tol_agreement"],
                                         f"relative gap={gap:.4f} tol={p['tol_agreement']}"))

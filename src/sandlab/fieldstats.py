@@ -34,7 +34,7 @@ from .lattice import (
 )
 from .odometer import eta_covariance_exact, eta_sample_batch, mode_weight
 from .operators import OperatorSpec, power_law_multiplier, solve_poisson
-from .sampling import CHUNK_REPLICATES, SigmaSpec, sigma_chunk
+from .sampling import CHUNK_REPLICATES, SigmaSpec, color, sigma_chunk
 from .testfun import TestFunction
 
 
@@ -191,36 +191,46 @@ class VarianceExperiment:
 
 def run_variance_experiment(
     mode: ScalingMode,
-    f: TestFunction,
+    fs: tuple[TestFunction, ...],
     ns,
     samples: int,
     seed: int = 0,
     workers: int = 1,
-) -> VarianceExperiment:
+) -> tuple[VarianceExperiment, ...]:
     """Estimate Var(a_n <Xi_n, f>) across sizes against the limit prediction.
 
-    The ratio column should flatten in n; its level is the calibration
-    constant of the mode, not one.  Sizes run independently (optionally in
-    parallel); results do not depend on the worker count.
+    The first test function in fs pairs at every size, the others at the
+    largest size only.  All of them pair with the same noise samples, and
+    each (size, chunk) is drawn once; one experiment comes back per
+    function.  The ratio column should flatten in n; its level is the
+    calibration constant of the mode, not one.  Sizes run independently
+    (optionally in parallel); results do not depend on the worker count.
     """
-    _, _, _, khat_fn, e = _mode_setup(mode, TorusShape(f.d, int(ns[0])))
-    limit = limit_variance(f, khat_fn, e)
+    _, _, _, khat_fn, e = _mode_setup(mode, TorusShape(fs[0].d, int(ns[0])))
+    limits = [limit_variance(f, khat_fn, e) for f in fs]
+    top = max(ns)
 
-    def one_size(n: int) -> VarianceRow:
-        shape = TorusShape(f.d, int(n))
+    def one_size(n: int) -> list[VarianceRow]:
+        shape = TorusShape(fs[0].d, int(n))
         op, spec, khat_lattice, _, _ = _mode_setup(mode, shape)
         a = scaling_constant(mode, shape)
-        k = pairing_vector(op, f).ravel()
-        xs = _pairing_samples(spec, shape, seed, samples, [k])[0] * a
-        var = float(np.var(xs, ddof=1))
-        se = var * math.sqrt(2.0 / (samples - 1))
-        exact = a * a * exact_pairing_variance(op, f, khat_lattice)
-        return VarianceRow(
-            int(n), EstimateWithCI(var, se, samples), exact, var / limit, exact / limit
-        )
+        paired = fs if n == top else fs[:1]
+        ks = [pairing_vector(op, f).ravel() for f in paired]
+        rows = []
+        for f, limit, xs in zip(paired, limits, _pairing_samples(spec, shape, seed, samples, ks)):
+            var = float(np.var(xs * a, ddof=1))
+            se = var * math.sqrt(2.0 / (samples - 1))
+            exact = a * a * exact_pairing_variance(op, f, khat_lattice)
+            rows.append(VarianceRow(
+                int(n), EstimateWithCI(var, se, samples), exact, var / limit, exact / limit
+            ))
+        return rows
 
-    rows = parallel_map(one_size, ns, workers)
-    return VarianceExperiment(mode, limit, tuple(rows))
+    by_size = parallel_map(one_size, ns, workers)
+    return tuple(
+        VarianceExperiment(mode, limit, tuple(rows[i] for rows in by_size if i < len(rows)))
+        for i, limit in enumerate(limits)
+    )
 
 
 _PAIR_SITES = 4096
@@ -244,7 +254,16 @@ def _pairings(rows: np.ndarray, k: np.ndarray) -> np.ndarray:
 def _pairing_samples(
     spec: SigmaSpec, shape: TorusShape, seed: int, samples: int, ks: list[np.ndarray]
 ) -> list[np.ndarray]:
-    """Samples of <sigma, k> for each pairing vector k, from one pass over the chunks."""
+    """Samples of <sigma, k> for each pairing vector k, from one pass over the chunks.
+
+    Each chunk is drawn once and paired with every k.  Colored noise is
+    sigma = F x for the raw draws x, and F is symmetric, so the raw draws
+    pair with F k instead: one filter per k, none per chunk.  That moves the
+    pairings of colored noise by rounding only.
+    """
+    if spec.regime == "correlated-gaussian":
+        ks = [color(spec, shape, k.reshape(shape.dims)).ravel() for k in ks]
+        spec = SigmaSpec.iid_gaussian()  # the same raw draws, unfiltered
     outs = [np.empty(samples) for _ in ks]
     done = 0
     chunk_index = 0

@@ -185,8 +185,7 @@ def test_criterion_05_exact_covariance_matches_monte_carlo():
 def _variance_pair(mode, seed):
     f = Wave.cosine((1, 0))
     f2 = Wave.sine((1, 1))
-    e1 = run_variance_experiment(mode, f, (16, 32, 64), 2000, seed=seed)
-    e2 = run_variance_experiment(mode, f2, (16, 32, 64), 2000, seed=seed)
+    e1, e2 = run_variance_experiment(mode, (f, f2), (16, 32, 64), 2000, seed=seed)
     flat = e1.ratio_flatness()
     agree = abs(e1.rows[-1].ratio / e2.rows[-1].ratio - 1.0)
     return e1, flat, agree

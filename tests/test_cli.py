@@ -7,7 +7,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sandlab import cli
+from sandlab import cli, fieldstats, sampling
 from sandlab.cli import (
     ManifestError,
     load_manifest,
@@ -326,6 +326,45 @@ def test_summary_lists_exactly_the_written_files(tmp_path, kind):
     assert record.outputs == tuple(listed) + ("summary.txt",)
     assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "summary.txt")
     assert any(name.endswith(".pgm") for name in listed) == ("heatmap = true" in TINY_RUNS[kind])
+
+
+VARIANCE_F2 = "kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nf2 = sin 1 1\nsamples = 300\n"
+CORRELATED = "sigma = correlated\ndelta = 0.25\n"
+
+
+@pytest.mark.parametrize("sigma", ["", CORRELATED])
+def test_variance_with_f2_draws_each_chunk_once(tmp_path, monkeypatch, sigma):
+    # f2 pairs with the draws of f at the largest size, so each (size, chunk)
+    # is drawn once, and colored noise filters pairing vectors, never a chunk.
+    draws, filtered = [], []
+    site_block, color = sampling._site_block, sampling.color
+
+    def counted_block(seed, shape, count, stream, planes, start=0):
+        draws.append((shape.n, stream))
+        return site_block(seed, shape, count, stream, planes, start)
+
+    def counted_color(spec, shape, x):
+        filtered.append(x.shape)
+        return color(spec, shape, x)
+
+    monkeypatch.setattr(sampling, "_site_block", counted_block)
+    monkeypatch.setattr(sampling, "color", counted_color)
+    monkeypatch.setattr(fieldstats, "color", counted_color)
+    cli.run(parse_manifest(VARIANCE_F2 + sigma), tmp_path / "out")
+    assert sorted(draws) == [(n, (1, chunk)) for n in (8, 16) for chunk in (0, 1)]
+    assert filtered == ([(8, 8), (16, 16), (16, 16)] if sigma else [])
+
+
+@pytest.mark.parametrize("sigma", ["", CORRELATED])
+def test_variance_with_f2_equals_single_function_runs(tmp_path, sigma):
+    cli.run(parse_manifest(VARIANCE_F2 + sigma), tmp_path / "both")
+    cli.run(parse_manifest(VARIANCE_F2.replace("f2 = sin 1 1\n", "") + sigma), tmp_path / "f")
+    cli.run(parse_manifest(VARIANCE_F2.replace("f = cos 1 0\nf2", "f") + sigma), tmp_path / "f2")
+    assert filecmp.cmp(tmp_path / "both" / "variance.csv", tmp_path / "f" / "variance.csv", shallow=False)
+    # variance_f2.csv holds the largest size only: the header and the n = 16 row
+    header, *rows = (tmp_path / "f2" / "variance.csv").read_bytes().splitlines(keepends=True)
+    want = header + next(r for r in rows if r.startswith(b"16,"))
+    assert (tmp_path / "both" / "variance_f2.csv").read_bytes() == want
 
 
 @pytest.mark.parametrize("operator", ["operator = nn\n", "operator = lr\nalpha = 1.0\n"])

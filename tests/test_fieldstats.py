@@ -32,6 +32,7 @@ from sandlab.fieldstats import (
     structure_prediction,
     variance_structure_curve,
 )
+from sandlab.operators import power_law_multiplier
 from sandlab.odometer import eta_covariance_exact, eta_field, eta_sample_batch
 from sandlab.sampling import CHUNK_REPLICATES, SigmaSpec, make_initial_config, sigma_chunk
 
@@ -122,7 +123,7 @@ def test_exact_pairing_variance_against_monte_carlo():
 
 def test_variance_experiment_structure():
     f = Wave.cosine((1, 0))
-    exp = run_variance_experiment(ScalingMode("nn-ind"), f, (8, 16, 32), 2000, seed=5)
+    (exp,) = run_variance_experiment(ScalingMode("nn-ind"), (f,), (8, 16, 32), 2000, seed=5)
     assert exp.limit == pytest.approx(0.5)
     assert exp.ratio_flatness() < 0.15
     # ratios hold the lattice calibration constant (2d)^2 for this mode
@@ -135,7 +136,7 @@ def test_variance_experiment_structure():
 
 def test_variance_experiment_rejects_stable_mode():
     with pytest.raises(ValueError, match="charfun"):
-        run_variance_experiment(ScalingMode("stable", alpha=1.0), Wave.cosine((1, 0)), (8, 16), 100)
+        run_variance_experiment(ScalingMode("stable", alpha=1.0), (Wave.cosine((1, 0)),), (8, 16), 100)
 
 
 def test_gaussian_calibration_constant():
@@ -338,6 +339,21 @@ def test_pairings_do_not_depend_on_row_grouping(m, seed, cuts):
     bounds = sorted({0, 40, *cuts})
     split = [fieldstats._pairings(rows[a:b], k) for a, b in zip(bounds, bounds[1:])]
     assert np.array_equal(np.concatenate(split), fieldstats._pairings(rows, k))
+
+
+@settings(max_examples=40, deadline=None)
+@given(d=st.integers(1, 3), n=st.integers(2, 9), delta=st.floats(0.01, 0.99), seed=st.integers(0, 2**32 - 1))
+def test_filtered_vector_pairings_equal_filtered_field_pairings(d, n, delta, seed):
+    # Colored noise pairs its raw draws with F k; the reference pairs k with
+    # the filtered fields of sigma_chunk, over two chunks, the last one cut.
+    shape = TorusShape(d, n)
+    spec = SigmaSpec.correlated_gaussian(power_law_multiplier(shape, -4.0 * delta, at_zero=1.0))
+    k = np.random.default_rng(seed).standard_normal(shape.nsites)
+    samples = CHUNK_REPLICATES + 5
+    fields = np.concatenate([sigma_chunk(spec, shape, seed, c) for c in range(2)])[:samples]
+    want = fieldstats._pairings(fields.reshape(samples, -1), k)
+    (got,) = fieldstats._pairing_samples(spec, shape, seed, samples, [k])
+    assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 def test_mean_odometer_memory_is_a_few_sub_batches():
