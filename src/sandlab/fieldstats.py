@@ -34,7 +34,7 @@ from .lattice import (
 )
 from .odometer import eta_covariance_exact, eta_sample_batch, mode_weight
 from .operators import OperatorSpec, power_law_multiplier, solve_poisson
-from .sampling import CHUNK_REPLICATES, SigmaSpec, color, sigma_chunk
+from .sampling import CHUNK_REPLICATES, SigmaSpec, color, sigma_chunk, unfiltered
 from .testfun import TestFunction
 
 
@@ -206,6 +206,8 @@ def run_variance_experiment(
     calibration constant of the mode, not one.  Sizes run independently
     (optionally in parallel); results do not depend on the worker count.
     """
+    if isinstance(fs, TestFunction):
+        raise TypeError("fs must be a sequence of test functions; pass one as (f,)")
     _, _, _, khat_fn, e = _mode_setup(mode, TorusShape(fs[0].d, int(ns[0])))
     limits = [limit_variance(f, khat_fn, e) for f in fs]
     top = max(ns)
@@ -261,9 +263,10 @@ def _pairing_samples(
     pair with F k instead: one filter per k, none per chunk.  That moves the
     pairings of colored noise by rounding only.
     """
-    if spec.regime == "correlated-gaussian":
+    raw = unfiltered(spec)
+    if raw is not spec:
         ks = [color(spec, shape, k.reshape(shape.dims)).ravel() for k in ks]
-        spec = SigmaSpec.iid_gaussian()  # the same raw draws, unfiltered
+        spec = raw
     outs = [np.empty(samples) for _ in ks]
     done = 0
     chunk_index = 0

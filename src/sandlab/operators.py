@@ -328,7 +328,6 @@ class OperatorSpec:
     tol: float = 1e-10
     _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _kernel: np.ndarray | None = field(default=None, repr=False, compare=False)
-    _pass_tables: tuple | None = field(default=None, repr=False, compare=False)  # built by toppling
 
     def __post_init__(self):
         if self.kind not in ("nn", "lr"):

@@ -21,7 +21,7 @@ computed and every draw that is read keeps its stream position.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
@@ -47,7 +47,6 @@ class SigmaSpec:
     alpha: float | None = None
     scale: float = 1.0
     index: float | None = None
-    _amp: tuple | None = field(default=None, init=False, repr=False, compare=False)
 
     @classmethod
     def iid_gaussian(cls) -> "SigmaSpec":
@@ -170,27 +169,33 @@ def _transform(spec: SigmaSpec, x: np.ndarray, shape: TorusShape) -> np.ndarray:
         # random-sign symmetrization already has median zero, so no extra shift
         return sign * magnitude
     if spec.regime == "correlated-gaussian":
-        return color(spec, shape, x)
+        return color(spec, shape, _transform(unfiltered(spec), x, shape))
     raise ValueError(f"unknown sigma regime {spec.regime!r}")
+
+
+def unfiltered(spec: SigmaSpec) -> SigmaSpec:
+    """The regime whose draws spec's noise is made of before any filter.
+
+    Correlated noise is `color` applied to the iid Gaussian draws of the same
+    stream, replicate for replicate; every other regime is its own.
+    """
+    return SigmaSpec.iid_gaussian() if spec.regime == "correlated-gaussian" else spec
 
 
 def color(spec: SigmaSpec, shape: TorusShape, x: np.ndarray) -> np.ndarray:
     """The correlated regime's filter F over the trailing d axes of x.
 
-    F multiplies frequency w by sqrt(nsites * khat(w)).  khat is validated
-    and that amplitude built once per (spec, shape).  F is real, even and so
-    symmetric: <F x, k> = <x, F k>.
+    F multiplies frequency w by sqrt(nsites * khat(w)).  F is real, even and
+    so symmetric: <F x, k> = <x, F k>.
     """
-    if spec._amp is None or spec._amp[0] != shape:
-        check = validate_multiplier(spec.khat, shape)
-        if not check.valid:
-            raise ValueError(f"covariance multiplier rejected: {check.reason}")
-        # khat is even (checked above), so the half grid carries all of it.
-        amp = np.sqrt(shape.nsites * np.asarray(spec.khat, dtype=np.float64)[..., : shape.n // 2 + 1])
-        object.__setattr__(spec, "_amp", (shape, amp))
+    check = validate_multiplier(spec.khat, shape)
+    if not check.valid:
+        raise ValueError(f"covariance multiplier rejected: {check.reason}")
+    # khat is even (checked above), so the half grid carries all of it.
+    amp = np.sqrt(shape.nsites * np.asarray(spec.khat, dtype=np.float64)[..., : shape.n // 2 + 1])
     axes = tuple(range(x.ndim - shape.d, x.ndim))
     coeffs = scipy.fft.rfftn(x, axes=axes)
-    coeffs *= spec._amp[1]
+    coeffs *= amp
     return scipy.fft.irfftn(coeffs, s=shape.dims, axes=axes)
 
 

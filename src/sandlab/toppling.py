@@ -64,21 +64,6 @@ def _checked_order(order, shape: TorusShape) -> list:
     return order.tolist()
 
 
-def _pass_tables(op: OperatorSpec) -> tuple:
-    """The sequential pass's site tables, built on first use and kept on op."""
-    if op._pass_tables is None:
-        n, d = op.shape.n, op.shape.d
-        if op.kind == "nn":
-            op._pass_tables = (_neighbour_lists(op.shape),)
-        else:
-            # tiled[n - x + y] = p[(y - x) mod n] axis by axis, so a window of the
-            # kernel tiled to (2n,) * d is the kernel centred on site x
-            sites = [(x, tuple(slice(n - c, 2 * n - c) for c in x))
-                     for x in itertools.product(range(n), repeat=d)]
-            op._pass_tables = (np.tile(op.kernel(), (2,) * d), sites)
-    return op._pass_tables
-
-
 def _sequential_pass(state: SandpileState) -> tuple:
     """A pass function and the copies of heights and odometer it updates.
 
@@ -87,10 +72,10 @@ def _sequential_pass(state: SandpileState) -> tuple:
     like float64 scalars, so they give the same bits as numpy element access
     at a fraction of the cost.  For long range they are arrays.
     """
-    op = state.op
+    op, shape = state.op, state.op.shape
     if op.kind == "nn":
-        (neigh,) = _pass_tables(op)
-        share = 1.0 / (2.0 * op.shape.d)
+        neigh = _neighbour_lists(shape)
+        share = 1.0 / (2.0 * shape.d)
 
         def nn_pass(s, u, order):
             for x in order:
@@ -104,7 +89,11 @@ def _sequential_pass(state: SandpileState) -> tuple:
                 u[x] += e
         return nn_pass, state.s.values.ravel().tolist(), state.u.values.ravel().tolist()
 
-    tiled, sites = _pass_tables(op)
+    # tiled[n - x + y] = p[(y - x) mod n] axis by axis, so a window of the
+    # kernel tiled to (2n,) * d is the kernel centred on site x
+    n, tiled = shape.n, np.tile(op.kernel(), (2,) * shape.d)
+    sites = [(x, tuple(slice(n - c, 2 * n - c) for c in x))
+             for x in itertools.product(range(n), repeat=shape.d)]
 
     def lr_pass(s, u, order):
         for x in order:

@@ -139,6 +139,11 @@ def test_variance_experiment_rejects_stable_mode():
         run_variance_experiment(ScalingMode("stable", alpha=1.0), (Wave.cosine((1, 0)),), (8, 16), 100)
 
 
+def test_variance_experiment_rejects_a_bare_test_function():
+    with pytest.raises(TypeError, match=r"\(f,\)"):
+        run_variance_experiment(ScalingMode("nn-ind"), Wave.cosine((1, 0)), (8, 16), 100)
+
+
 def test_gaussian_calibration_constant():
     cal = gaussian_calibration(ScalingMode("nn-ind"), Wave.cosine((1, 0)), TorusShape(2, 64))
     assert abs(cal - 16.0) < 0.05
