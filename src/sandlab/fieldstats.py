@@ -258,10 +258,11 @@ def _pairing_samples(
 ) -> list[np.ndarray]:
     """Samples of <sigma, k> for each pairing vector k, from one pass over the chunks.
 
-    Each chunk is drawn once and paired with every k.  Colored noise is
-    sigma = F x for the raw draws x, and F is symmetric, so the raw draws
-    pair with F k instead: one filter per k, none per chunk.  That moves the
-    pairings of colored noise by rounding only.
+    Each chunk is drawn once, the last only up to `samples`, and paired
+    with every k.  Colored noise is sigma = F x for the raw draws x, and F
+    is symmetric, so the raw draws pair with F k instead: one filter per k,
+    none per chunk.  That moves the pairings of colored noise by rounding
+    only.
     """
     raw = unfiltered(spec)
     if raw is not spec:
@@ -271,10 +272,10 @@ def _pairing_samples(
     done = 0
     chunk_index = 0
     while done < samples:
-        block = sigma_chunk(spec, shape, seed, chunk_index)
-        take = min(samples - done, block.shape[0])
+        take = min(CHUNK_REPLICATES, samples - done)
+        block = sigma_chunk(spec, shape, seed, chunk_index, count=take).reshape(take, -1)
         for out, k in zip(outs, ks):
-            out[done : done + take] = _pairings(block[:take].reshape(take, -1), k)
+            out[done : done + take] = _pairings(block, k)
         done += take
         chunk_index += 1
     return outs
@@ -402,36 +403,35 @@ class GrowthCurve:
     predicted_values: tuple[float, ...]
 
 
+def _growth_gamma(kind: str, alpha: float | None) -> float:
+    """The growth law's order gamma: 2 for nearest-neighbour, min(2, alpha) long-range."""
+    if kind == "nn":
+        return 2.0
+    if kind == "lr":
+        return min(2.0, float(alpha))
+    raise ValueError(f"unknown operator kind {kind!r}")
+
+
 def mean_odometer_prediction(kind: str, d: int, n: float, alpha: float | None = None) -> float:
     """Growth-law prediction for the mean odometer, up to a constant.
 
-    Nearest-neighbour: n^(2 - d/2) below dimension four, log n at four, and
-    sqrt(log n) above.  Long-range with gamma = min(2, alpha): n^(gamma - d/2)
-    when gamma exceeds d/2, log n at equality, sqrt(log n) below.  The last
-    long-range case reads the evident regime ordering; see the package notes
-    on the source table.
+    With gamma from `_growth_gamma`: n^(gamma - d/2) when gamma exceeds d/2,
+    log n at equality, sqrt(log n) below.  For nearest-neighbour that is
+    n^(2 - d/2) below dimension four, log n at four, and sqrt(log n) above.
+    The last long-range case reads the evident regime ordering; see the
+    package notes on the source table.
     """
-    if kind == "nn":
-        if d < 4:
-            return float(n) ** (2.0 - d / 2.0)
-        if d == 4:
-            return math.log(n)
-        return math.sqrt(math.log(n))
-    if kind == "lr":
-        g = min(2.0, float(alpha))
-        if g > d / 2.0:
-            return float(n) ** (g - d / 2.0)
-        if g == d / 2.0:
-            return math.log(n)
-        return math.sqrt(math.log(n))
-    raise ValueError(f"unknown operator kind {kind!r}")
+    g = _growth_gamma(kind, alpha)
+    if g > d / 2.0:
+        return float(n) ** (g - d / 2.0)
+    if g == d / 2.0:
+        return math.log(n)
+    return math.sqrt(math.log(n))
 
 
 def mean_odometer_exponent(kind: str, d: int, alpha: float | None = None) -> float | None:
     """Pure power exponent of the growth law, or None in a logarithmic regime."""
-    if kind == "nn":
-        return 2.0 - d / 2.0 if d < 4 else None
-    g = min(2.0, float(alpha))
+    g = _growth_gamma(kind, alpha)
     return g - d / 2.0 if g > d / 2.0 else None
 
 

@@ -9,14 +9,12 @@ Draws are keyed per (seed, stream, replicate) in counter-based Philox
 streams, so two calls with the same seed are bit-identical no matter how the
 surrounding code is threaded or chunked.
 
-Gaussian regimes (independent, and correlated before its spectral filter)
-fill replicate r with ziggurat ``standard_normal`` draws from the substream
-at counter offset r << 64.  The others map uniforms by explicit inverse
-transforms, two uniform planes per site, replicate after replicate.  One
-that reads only the first plane (uniform, and stable at alpha = 1) skips the
-second by advancing the counter, and a reader that starts inside a chunk
-skips the replicates before it the same way, so skipped draws are never
-computed and every draw that is read keeps its stream position.
+Replicate r of a stream reads its own Philox substream, at counter offset
+r << 64.  Gaussian regimes (independent, and correlated before its spectral
+filter) fill it with ziggurat ``standard_normal`` draws; the others draw the
+uniform planes their explicit inverse transforms read, one or two per site.
+So any replicate can be drawn alone, and a shorter chunk is a prefix of a
+longer one.
 """
 
 from __future__ import annotations
@@ -29,7 +27,6 @@ import scipy.fft
 from ._util import generator
 from .lattice import LatticeField, TorusShape, _reverse_indices
 
-_DRAWS_PER_SITE = 2
 _FIELD_STREAM = 0
 _CHUNK_STREAM = 1
 CHUNK_REPLICATES = 256
@@ -120,7 +117,7 @@ def _planes_read(spec: SigmaSpec) -> int:
     if spec.regime in ("iid-gaussian", "correlated-gaussian"):
         return 0
     if spec.regime == "pareto" or (spec.regime == "stable" and spec.alpha != 1.0):
-        return _DRAWS_PER_SITE
+        return 2
     return 1
 
 
@@ -128,30 +125,19 @@ def _site_block(seed, shape: TorusShape, count: int, stream, planes: int,
                 start: int = 0) -> np.ndarray:
     """Draws of replicates start .. start + count - 1 of a stream.
 
-    With planes = 0 these are standard normals (count,) + dims, replicate r
-    filling the substream at counter offset r << 64.  Otherwise they are
-    uniforms (count, planes) + dims, replicate r reading the first `planes`
-    of its _DRAWS_PER_SITE planes, which start at double r * stride.  The
-    stream seeks to each replicate by setting its counter, so replicates
-    and planes that are not read are never drawn.
+    Replicate r reads a fresh copy of the stream from counter offset r << 64.
+    With planes = 0 the block is standard normals (count,) + dims, else
+    uniforms (count, planes) + dims clipped into the open unit interval.
     """
     gen = generator(seed, *stream)
     bits, state = gen.bit_generator, gen.bit_generator.state
-    counter = state["state"]["counter"]  # zero in a fresh stream, so setting it to k is advance(k)
+    counter = state["state"]["counter"]  # zero in a fresh stream, so setting word 1 is advance(r << 64)
     x = np.empty((count,) + ((planes,) if planes else ()) + shape.dims)
-    stride = _DRAWS_PER_SITE * shape.nsites
+    draw = gen.random if planes else gen.standard_normal
     for r, row in enumerate(x.reshape(count, -1)):
-        if not planes:
-            counter[1] = start + r
-            bits.state = state
-            gen.standard_normal(out=row)
-            continue
-        at = (start + r) * stride
-        if r == 0 or row.size != stride:  # else the last row ended at `at`
-            counter[0] = at // 4  # one counter step yields four doubles
-            bits.state = state
-            gen.random(at % 4)
-        gen.random(out=row)
+        counter[1] = start + r
+        bits.state = state
+        draw(out=row)
     return np.clip(x, _U_LO, _U_HI, out=x) if planes else x
 
 
@@ -230,9 +216,8 @@ def sigma_chunk(spec: SigmaSpec, shape: TorusShape, seed: int, chunk_index: int,
 
     Replicate r of an experiment lives at position r % count of chunk
     r // count, so chunked and monolithic consumers see identical fields,
-    and any run of positions can be drawn on its own: a Gaussian replicate
-    reads its own substream of the chunk's stream, and for the other regimes
-    the replicates before `start` and the unread planes are skipped.
+    and any run of positions can be drawn on its own: each replicate reads
+    its own substream of the chunk's stream.
     """
     x = _site_block(seed, shape, count, (_CHUNK_STREAM, chunk_index), _planes_read(spec), start)
     return _transform(spec, x, shape)

@@ -340,7 +340,7 @@ def test_variance_with_f2_draws_each_chunk_once(tmp_path, monkeypatch, sigma):
     site_block, color = sampling._site_block, sampling.color
 
     def counted_block(seed, shape, count, stream, planes, start=0):
-        draws.append((shape.n, stream))
+        draws.append((shape.n, stream, count))
         return site_block(seed, shape, count, stream, planes, start)
 
     def counted_color(spec, shape, x):
@@ -351,7 +351,9 @@ def test_variance_with_f2_draws_each_chunk_once(tmp_path, monkeypatch, sigma):
     monkeypatch.setattr(sampling, "color", counted_color)
     monkeypatch.setattr(fieldstats, "color", counted_color)
     cli.run(parse_manifest(VARIANCE_F2 + sigma), tmp_path / "out")
-    assert sorted(draws) == [(n, (1, chunk)) for n in (8, 16) for chunk in (0, 1)]
+    assert sorted(d[:2] for d in draws) == [(n, (1, chunk)) for n in (8, 16) for chunk in (0, 1)]
+    # and draws only the replicates it pairs: `samples` per size.
+    assert [sum(d[2] for d in draws if d[0] == n) for n in (8, 16)] == [300, 300]
     assert filtered == ([(8, 8), (16, 16), (16, 16)] if sigma else [])
 
 

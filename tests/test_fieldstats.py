@@ -282,6 +282,13 @@ def test_mean_odometer_predictions():
     assert mean_odometer_prediction("lr", 1, 16, alpha=0.5) == pytest.approx(math.log(16))
 
 
+def test_mean_odometer_growth_law_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        mean_odometer_prediction("xx", 2, 16)
+    with pytest.raises(ValueError, match="unknown operator kind"):
+        mean_odometer_exponent("xx", 2)
+
+
 def test_mean_odometer_curve_d1_slope():
     curve = mean_odometer_curve("nn", 1, (16, 32, 64), 300, seed=2)
     assert curve.predicted_slope == 1.5
