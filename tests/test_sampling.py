@@ -242,17 +242,15 @@ def test_in_place_clip_leaves_every_draw_unchanged(regime):
     assert np.array_equal(sample_sigma(spec, shape, 9).values, want)
 
 
-@settings(max_examples=150, deadline=None)
-@given(shape=st.sampled_from(SHAPES), regime=st.sampled_from(sorted(REGIMES)),
-       index=st.integers(0, 3 * CHUNK_REPLICATES - 1), before=st.integers(0, 6),
-       after=st.integers(0, 6))
-@example(shape=TorusShape(1, 3), regime="pareto", index=0, before=0, after=2)
-@example(shape=TorusShape(1, 2), regime="iid-gaussian", index=CHUNK_REPLICATES + 1, before=1, after=0)
-@example(shape=TorusShape(3, 3), regime="stable-1", index=CHUNK_REPLICATES + 5, before=0, after=1)
-def test_replicate_is_the_same_however_it_is_reached(shape, regime, index, before, after):
+GAUSSIAN = sorted(r for r, planes in PLANES.items() if planes == 0)
+UNIFORM = sorted(r for r, planes in PLANES.items() if planes > 0)
+
+
+def check_replicate(shape, regime, index, before, after, planes):
     # Replicate `index` alone, inside a chunk read from any start and with any
-    # count, and from its own fresh substream all give the same field.
-    spec, planes = REGIMES[regime](shape), PLANES[regime]
+    # count, and from its own fresh substream all equal the transform of
+    # `planes` reference planes (normals with planes = 0).
+    spec = REGIMES[regime](shape)
     chunk_index, pos = divmod(index, CHUNK_REPLICATES)
     start = max(0, pos - before)
     count = pos - start + after + 1
@@ -262,6 +260,28 @@ def test_replicate_is_the_same_however_it_is_reached(shape, regime, index, befor
     # sample_sigma reads replicate 0 of the field stream, not of a chunk stream.
     field = sampling._transform(spec, reference_draws(9, shape, 1, (0,), planes), shape)[0]
     assert np.array_equal(sample_sigma(spec, shape, 9).values, field)
+
+
+@settings(max_examples=100, deadline=None)
+@given(shape=st.sampled_from(SHAPES), regime=st.sampled_from(GAUSSIAN),
+       index=st.integers(0, 3 * CHUNK_REPLICATES - 1), before=st.integers(0, 6),
+       after=st.integers(0, 6))
+@example(shape=TorusShape(1, 2), regime="iid-gaussian", index=CHUNK_REPLICATES + 1, before=1, after=0)
+def test_gaussian_replicate_is_the_same_however_it_is_reached(shape, regime, index, before, after):
+    check_replicate(shape, regime, index, before, after, PLANES[regime])
+
+
+@settings(max_examples=150, deadline=None)
+@given(shape=st.sampled_from(SHAPES), regime=st.sampled_from(UNIFORM),
+       index=st.integers(0, 3 * CHUNK_REPLICATES - 1), before=st.integers(0, 6),
+       after=st.integers(0, 6))
+@example(shape=TorusShape(1, 3), regime="pareto", index=0, before=0, after=2)
+@example(shape=TorusShape(3, 3), regime="stable-1", index=CHUNK_REPLICATES + 5, before=0, after=1)
+@example(shape=TorusShape(1, 5), regime="iid-uniform-centered", index=3, before=2, after=3)
+def test_skipping_draw_equals_the_two_plane_draw(shape, regime, index, before, after):
+    # Only the planes a regime reads are drawn, yet every variate equals the
+    # one the full two-plane draw of the replicate's substream gives.
+    check_replicate(shape, regime, index, before, after, 2)
 
 
 @pytest.mark.parametrize("regime, planes", PLANES.items())
