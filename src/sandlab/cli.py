@@ -221,39 +221,28 @@ def _experiment(kind: str, *keys: Key):
     return register
 
 
-def _coerce(key: Key, value):
-    def fail(msg):
-        raise ManifestError(f"key {key.name!r}: {msg}")
+# scalar type -> (check, what one value is expected to be, what a list of them is)
+_TYPES = {
+    "int": (lambda v: isinstance(v, int) and not isinstance(v, bool), "an integer", "integers"),
+    "float": (lambda v: isinstance(v, (int, float)) and not isinstance(v, bool), "a number", "numbers"),
+    "bool": (lambda v: isinstance(v, bool), "true or false", None),
+    "str": (lambda v: isinstance(v, str), "a string", None),
+}
 
-    if key.typ == "int":
-        if isinstance(value, bool) or not isinstance(value, int):
-            fail(f"expected an integer, got {value!r}")
-        return value
-    if key.typ == "float":
-        if isinstance(value, bool) or not isinstance(value, (int, float)):
-            fail(f"expected a number, got {value!r}")
-        return float(value)
-    if key.typ == "bool":
-        if not isinstance(value, bool):
-            fail(f"expected true or false, got {value!r}")
-        return value
-    if key.typ == "str":
-        if not isinstance(value, str):
-            fail(f"expected a string, got {value!r}")
-        if key.choices and value not in key.choices:
-            fail(f"expected one of {', '.join(key.choices)}, got {value!r}")
-        return value
-    if key.typ == "ints":
-        items = value if isinstance(value, tuple) else (value,)
-        if not all(isinstance(v, int) and not isinstance(v, bool) for v in items):
-            fail(f"expected integers, got {value!r}")
-        return tuple(items)
-    if key.typ == "floats":
-        items = value if isinstance(value, tuple) else (value,)
-        if not all(isinstance(v, (int, float)) and not isinstance(v, bool) for v in items):
-            fail(f"expected numbers, got {value!r}")
-        return tuple(float(v) for v in items)
-    raise AssertionError(key.typ)
+
+def _coerce(key: Key, value):
+    """value checked against key.typ; a list type (``ints``, ``floats``)
+    checks each entry with its scalar type and takes a scalar as one entry."""
+    listed = key.typ in ("ints", "floats")
+    check, one, many = _TYPES[key.typ[:-1] if listed else key.typ]
+    items = value if listed and isinstance(value, tuple) else (value,)
+    if not all(map(check, items)):
+        raise ManifestError(f"key {key.name!r}: expected {many if listed else one}, got {value!r}")
+    if key.choices and value not in key.choices:
+        raise ManifestError(f"key {key.name!r}: expected one of {', '.join(key.choices)}, got {value!r}")
+    if key.typ.startswith("float"):
+        items = tuple(map(float, items))
+    return tuple(items) if listed else items[0]
 
 
 def _split_bound(key: Key):

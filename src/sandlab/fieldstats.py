@@ -24,7 +24,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from ._util import axis_sum, loglog_slope, parallel_map
 from .lattice import (
@@ -32,7 +31,7 @@ from .lattice import (
     TorusShape,
     cell_integral_field,
 )
-from .odometer import eta_covariance_exact, eta_sample_batch, mode_weight
+from .odometer import eta_covariance_exact, eta_sample_batch
 from .operators import OperatorSpec, power_law_multiplier, solve_poisson
 from .sampling import CHUNK_REPLICATES, SigmaSpec, color, sigma_chunk, unfiltered
 from .testfun import TestFunction
@@ -122,20 +121,25 @@ def limit_variance(f: TestFunction, khat=None, e: float = 2.0) -> float:
 def exact_pairing_variance(op: OperatorSpec, f: TestFunction, khat: np.ndarray | None = None) -> float:
     """Exact Gaussian variance of <Xi_n, f> before any a_n rescaling.
 
-    khat = None is independent unit-variance noise (mode weight 1/nsites);
-    an array is the colored sampler's multiplier (mode weight khat(w)) and
-    must pass ``validate_multiplier``.  The sum runs over the rfftn half grid.
+    khat = None is independent unit-variance noise; an array is the colored
+    sampler's multiplier and must pass ``validate_multiplier``.  The pairing
+    is <x, v> for independent unit Gaussians x and the ``_noise_vector`` v
+    (k itself for white noise, F k for colored), so its variance is ||v||^2.
     """
-    c = cell_integral_field(f, op.shape)
-    potential_hat = scipy.fft.rfftn(c.values) * op.inverse_symbol()
-    power = mode_weight(op.shape, khat) * np.abs(potential_hat) ** 2
-    # Each interior half-grid column stands for itself and its mirror image;
-    # column 0 and, for even n, column n/2 are their own mirrors.
-    columns = np.full(power.shape[-1], 2.0)
-    columns[0] = 1.0
-    if op.shape.n % 2 == 0:
-        columns[-1] = 1.0
-    return float(np.sum(power * columns))
+    spec = SigmaSpec.iid_gaussian() if khat is None else SigmaSpec.correlated_gaussian(khat)
+    k = _noise_vector(spec, op.shape, pairing_vector(op, f).ravel())
+    return float(np.sum(k * k))
+
+
+def _noise_vector(spec: SigmaSpec, shape: TorusShape, k: np.ndarray) -> np.ndarray:
+    """The flat vector the unfiltered draws of spec pair with to give <sigma, k>.
+
+    Colored noise is sigma = F x for the raw draws x, and F is symmetric, so
+    <sigma, k> = <x, F k>; every other regime pairs with k itself.
+    """
+    if unfiltered(spec) is spec:
+        return k
+    return color(spec, shape, k.reshape(shape.dims)).ravel()
 
 
 def _mode_setup(mode: ScalingMode, shape: TorusShape):
@@ -214,15 +218,15 @@ def run_variance_experiment(
 
     def one_size(n: int) -> list[VarianceRow]:
         shape = TorusShape(fs[0].d, int(n))
-        op, spec, khat_lattice, _, _ = _mode_setup(mode, shape)
+        op, spec, _, _, _ = _mode_setup(mode, shape)
         a = scaling_constant(mode, shape)
         paired = fs if n == top else fs[:1]
-        ks = [pairing_vector(op, f).ravel() for f in paired]
+        ks = [_noise_vector(spec, shape, pairing_vector(op, f).ravel()) for f in paired]
         rows = []
-        for f, limit, xs in zip(paired, limits, _pairing_samples(spec, shape, seed, samples, ks)):
+        for limit, k, xs in zip(limits, ks, _pairing_samples(unfiltered(spec), shape, seed, samples, ks)):
             var = float(np.var(xs * a, ddof=1))
             se = var * math.sqrt(2.0 / (samples - 1))
-            exact = a * a * exact_pairing_variance(op, f, khat_lattice)
+            exact = a * a * float(np.sum(k * k))
             rows.append(VarianceRow(
                 int(n), EstimateWithCI(var, se, samples), exact, var / limit, exact / limit
             ))
@@ -259,15 +263,12 @@ def _pairing_samples(
     """Samples of <sigma, k> for each pairing vector k, from one pass over the chunks.
 
     Each chunk is drawn once, the last only up to `samples`, and paired
-    with every k.  Colored noise is sigma = F x for the raw draws x, and F
-    is symmetric, so the raw draws pair with F k instead: one filter per k,
-    none per chunk.  That moves the pairings of colored noise by rounding
-    only.
+    with every k.  Colored noise pairs its raw draws with the filtered
+    vector of ``_noise_vector``: one filter per k, none per chunk.  That
+    moves the pairings of colored noise by rounding only.
     """
-    raw = unfiltered(spec)
-    if raw is not spec:
-        ks = [color(spec, shape, k.reshape(shape.dims)).ravel() for k in ks]
-        spec = raw
+    ks = [_noise_vector(spec, shape, k) for k in ks]
+    spec = unfiltered(spec)
     outs = [np.empty(samples) for _ in ks]
     done = 0
     chunk_index = 0

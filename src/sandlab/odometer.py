@@ -20,9 +20,9 @@ from __future__ import annotations
 import numpy as np
 import scipy.fft
 
-from .lattice import LatticeField, TorusShape
+from .lattice import LatticeField
 from .operators import OperatorSpec, solve_poisson
-from .sampling import validate_multiplier
+from .sampling import half_multiplier
 
 
 def eta_field(s: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9) -> LatticeField:
@@ -59,25 +59,9 @@ def eta_covariance_exact(op: OperatorSpec, khat: np.ndarray | None = None) -> La
     ``validate_multiplier``.  The table, indexed by the offset x, is one
     inverse real transform from the half grid.
     """
-    mode = mode_weight(op.shape, khat) * op.inverse_symbol() ** 2
-    values = scipy.fft.irfftn(mode, s=op.shape.dims) * op.shape.nsites
+    weight = 1.0 / op.shape.nsites if khat is None else half_multiplier(khat, op.shape)
+    values = scipy.fft.irfftn(weight * op.inverse_symbol() ** 2, s=op.shape.dims) * op.shape.nsites
     return LatticeField(op.shape, values)
-
-
-def mode_weight(shape: TorusShape, khat: np.ndarray | None) -> float | np.ndarray:
-    """Per-mode noise weight on the rfftn half grid: 1/nsites for white noise,
-    else the multiplier's half.
-
-    A half-grid inverse transform reads only half of the multiplier, so it
-    would silently symmetrize an uneven one; such a khat raises ValueError.
-    """
-    if khat is None:
-        return 1.0 / shape.nsites
-    check = validate_multiplier(khat, shape)
-    if not check.valid:
-        raise ValueError(f"covariance multiplier rejected: {check.reason}")
-    weight = np.asarray(khat, dtype=np.float64)
-    return weight[..., : shape.n // 2 + 1]
 
 
 def eta_sample_batch(

@@ -13,16 +13,15 @@ The long-range generator redistributes through a heavy-tailed jump kernel
 folded onto the torus and normalized to total mass one; the generator is
 convolution by p minus the identity.  Since p(0) > 0 the kernel keeps a
 self-loop.  Eigenvalue tables come from the transform of p - delta, which is
-the single source of truth for all long-range spectral computations.  Each
-operator caches its inverse symbol -1/lambda, and every Poisson solve,
-covariance and batched sample in the package goes through that one table.
+the single source of truth for all long-range spectral computations.
 
 Fields are real and both generators are even, so every spectral table is
-Hermitian: its values at -w are those at w.  The inverse symbol is therefore
-kept on the half grid of ``scipy.fft.rfftn`` (last axis cut to n//2 + 1
-columns), and solves run as ``rfftn`` -> multiply -> ``irfftn``.  The full
-eigenvalue table stays public for callers that index the whole grid; it is
-computed on each request and not cached.
+Hermitian: its values at -w are those at w.  Each operator therefore caches
+one symbol, lambda on the half grid of ``scipy.fft.rfftn`` (last axis cut to
+n//2 + 1 columns), and the long-range step, every Poisson solve and every
+exact covariance read it: each runs as ``rfftn`` -> multiply -> ``irfftn``.
+The full eigenvalue table stays public for callers that index the whole
+grid; it is computed on each request and not cached.
 
 The folded kernel is evaluated by an Ewald split of the lattice sum: a
 Gaussian-damped real-space part plus a Gaussian-damped frequency part, both of
@@ -245,10 +244,9 @@ class BufferedGenerator:
     saved first and rewritten as saved + wrap neighbour.  Either way each
     site receives its 2d neighbours in the fixed order.
 
-    The long-range kernel's transform is computed once.  Each application
-    runs ``fftn`` and ``ifftn`` as one-axis transforms of every field in the
-    stack (last axis first, as ``fftn`` does) between two preallocated
-    complex buffers, which gives the same bits as the n-d calls.
+    The long-range step multiplies each field's half-grid transform by the
+    operator's cached symbol lambda = p^ - 1, so it transforms no kernel and
+    holds no complex buffer: L x = irfftn(rfftn(x) * lambda).
     """
 
     def __init__(self, op: "OperatorSpec", count: int | None = None):
@@ -257,11 +255,9 @@ class BufferedGenerator:
         self.out = np.empty(dims)
         d, n = op.shape.d, op.shape.n
         if op.kind == "lr":
-            self._phat = np.fft.fftn(op.kernel())
-            self._axes = range(len(dims) - 1, len(dims) - 1 - d, -1)
-            self._spectra = (np.empty(dims, complex), np.empty(dims, complex))
+            self._symbol, self._dims = op.symbol(), op.shape.dims
             return
-        self._phat = None
+        self._symbol = None
         self._share = 2.0 * d
         self._stencil = []
         flat_g, flat_x = self.out.reshape(-1), self.x.reshape(-1)
@@ -281,29 +277,23 @@ class BufferedGenerator:
     def apply(self) -> np.ndarray:
         """Overwrite and return ``out`` with L applied to ``x``."""
         x, g = self.x, self.out
-        if self._phat is None:
-            g.fill(0.0)
-            for dst, src, slab, wrap, saved in self._stencil:
-                if saved is None:
-                    np.add(dst, src, out=dst)
-                    np.add(slab, wrap, out=slab)
-                else:
-                    np.copyto(saved, slab)
-                    np.add(dst, src, out=dst)
-                    np.add(saved, wrap, out=slab)
-            np.divide(g, self._share, out=g)
-            np.subtract(g, x, out=g)
-        else:
-            a, b = self._spectra
-            np.fft.fft(x, axis=self._axes[0], out=a)
-            for axis in self._axes[1:]:
-                np.fft.fft(a, axis=axis, out=b)
-                a, b = b, a
-            a *= self._phat
-            for axis in self._axes:
-                np.fft.ifft(a, axis=axis, out=b)
-                a, b = b, a
-            np.subtract(a.real, x, out=g)
+        if self._symbol is not None:
+            axes = range(-len(self._dims), 0)
+            coeffs = scipy.fft.rfftn(x, axes=axes)
+            coeffs *= self._symbol
+            np.copyto(g, scipy.fft.irfftn(coeffs, s=self._dims, axes=axes))
+            return g
+        g.fill(0.0)
+        for dst, src, slab, wrap, saved in self._stencil:
+            if saved is None:
+                np.add(dst, src, out=dst)
+                np.add(slab, wrap, out=slab)
+            else:
+                np.copyto(saved, slab)
+                np.add(dst, src, out=dst)
+                np.add(saved, wrap, out=slab)
+        np.divide(g, self._share, out=g)
+        np.subtract(g, x, out=g)
         return g
 
 
@@ -311,13 +301,14 @@ class BufferedGenerator:
 class OperatorSpec:
     """Chosen generator, nearest-neighbour or long-range, with its cached tables.
 
-    Everything spectral goes through one cached table, the inverse symbol
-    -1/lambda (zero at lambda = 0) on the half grid of ``scipy.fft.rfftn``,
-    n^(d-1) * (n//2 + 1) entries.  The half grid suffices because lambda is
+    Everything spectral goes through one cached table, the symbol lambda on
+    the half grid of ``scipy.fft.rfftn``, n^(d-1) * (n//2 + 1) entries, cut
+    from the full eigenvalue table.  The half grid suffices because lambda is
     real and even, so a real field's transform at -w is the conjugate of that
-    at w.  The full eigenvalue table is built from the (cached) kernel when
-    asked for and not kept.  The generator itself is applied by
-    ``BufferedGenerator``, its only implementation.
+    at w.  The inverse symbol -1/lambda of the solves is derived from it, and
+    the long-range step of ``BufferedGenerator``, the generator's only
+    implementation, multiplies by it.  The full eigenvalue table is built
+    from the (cached) kernel when asked for and not kept.
     The long-range kernel cuts its real-space Ewald sum at a sphere whose
     dropped tail is provably below half of ``tol`` (see ``lr_kernel``).
     """
@@ -326,6 +317,7 @@ class OperatorSpec:
     shape: TorusShape
     alpha: float | None = None
     tol: float = 1e-10
+    _symbol: np.ndarray | None = field(default=None, repr=False, compare=False)
     _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _kernel: np.ndarray | None = field(default=None, repr=False, compare=False)
 
@@ -356,10 +348,16 @@ class OperatorSpec:
             return nn_eigenvalues(self.shape)
         return lr_eigenvalues(self.kernel())
 
+    def symbol(self) -> np.ndarray:
+        """lambda on the rfftn half grid: the full table's first n//2 + 1 columns, cached."""
+        if self._symbol is None:
+            self._symbol = np.ascontiguousarray(self.eigenvalues()[..., : self.shape.n // 2 + 1])
+        return self._symbol
+
     def inverse_symbol(self) -> np.ndarray:
         """-1/lambda on the rfftn half grid, and 0 where lambda is 0 (the zero mode)."""
         if self._inv is None:
-            lam = self.eigenvalues()[..., : self.shape.n // 2 + 1]
+            lam = self.symbol()
             inv = np.zeros(lam.shape)
             np.divide(-1.0, lam, out=inv, where=lam != 0.0)
             inv.flat[0] = 0.0

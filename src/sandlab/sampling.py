@@ -112,6 +112,18 @@ def validate_multiplier(khat, shape: TorusShape) -> MultiplierCheck:
     return MultiplierCheck(True)
 
 
+def half_multiplier(khat, shape: TorusShape) -> np.ndarray:
+    """khat on the rfftn half grid, once it passes ``validate_multiplier``.
+
+    A half-grid transform reads only this half, so it would silently
+    symmetrize an uneven multiplier; such a khat raises ValueError.
+    """
+    check = validate_multiplier(khat, shape)
+    if not check.valid:
+        raise ValueError(f"covariance multiplier rejected: {check.reason}")
+    return np.asarray(khat, dtype=np.float64)[..., : shape.n // 2 + 1]
+
+
 def _planes_read(spec: SigmaSpec) -> int:
     """Uniform planes the regime's transform reads: none (Gaussian), u0, or u0 and u1."""
     if spec.regime in ("iid-gaussian", "correlated-gaussian"):
@@ -174,11 +186,7 @@ def color(spec: SigmaSpec, shape: TorusShape, x: np.ndarray) -> np.ndarray:
     F multiplies frequency w by sqrt(nsites * khat(w)).  F is real, even and
     so symmetric: <F x, k> = <x, F k>.
     """
-    check = validate_multiplier(spec.khat, shape)
-    if not check.valid:
-        raise ValueError(f"covariance multiplier rejected: {check.reason}")
-    # khat is even (checked above), so the half grid carries all of it.
-    amp = np.sqrt(shape.nsites * np.asarray(spec.khat, dtype=np.float64)[..., : shape.n // 2 + 1])
+    amp = np.sqrt(shape.nsites * half_multiplier(spec.khat, shape))
     axes = tuple(range(x.ndim - shape.d, x.ndim))
     coeffs = scipy.fft.rfftn(x, axes=axes)
     coeffs *= amp

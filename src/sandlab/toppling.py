@@ -135,7 +135,7 @@ def _neighbour_lists(shape: TorusShape) -> list:
 
 
 # At most this many sites step in one replicate stack, so a stack's buffers
-# stay near 32 MiB (64 MiB long range) for any number of states.
+# stay near 32 MiB for any number of states.
 STACK_SITES = 1 << 20
 
 
@@ -240,9 +240,9 @@ def stabilize(
     This is the one-replicate call of the stacked engine, ``stabilize_stack``:
     heights and odometer are toppled in place on copies of the input fields,
     through ``operators.BufferedGenerator``, whose fixed summation order
-    (nearest neighbour) and once-per-call kernel transform (long range) keep
-    every report, odometer and final field bit-identical to the reference
-    engine frozen in the tests.
+    (nearest neighbour) and half-grid multiply by the operator's cached
+    symbol (long range) keep every report, odometer and final field
+    bit-identical to the reference engine frozen in the tests.
     """
     return next(stabilize_stack([state], tol, step_limit))
 

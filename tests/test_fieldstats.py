@@ -134,6 +134,19 @@ def test_variance_experiment_structure():
     assert abs(exp.rows[-1].exact_ratio / 16.0 - 1.0) < 0.01
 
 
+@pytest.mark.parametrize("mode", [ScalingMode("nn-ind"), ScalingMode("nn-cor", delta=0.25),
+                                  ScalingMode("lr-ind", alpha=1.0)])
+def test_variance_exact_column_is_the_exact_pairing_variance(mode):
+    # The exact column is read off the vector the draws pair with (F k for
+    # colored noise), so it must equal the standalone exact variance.
+    fs = (Wave.cosine((1, 0)), Wave.sine((1, 1)))
+    exps = run_variance_experiment(mode, fs, (6, 8), 20)
+    for f, exp in zip(fs, exps):
+        for row in exp.rows:
+            want = gaussian_calibration(mode, f, TorusShape(2, row.n))
+            assert row.exact_ratio == pytest.approx(want, rel=1e-12)
+
+
 def test_variance_experiment_rejects_stable_mode():
     with pytest.raises(ValueError, match="charfun"):
         run_variance_experiment(ScalingMode("stable", alpha=1.0), (Wave.cosine((1, 0)),), (8, 16), 100)

@@ -1,9 +1,11 @@
 """The half-grid spectral core against frozen full-grid complex-FFT routes.
 
-Solves, exact covariances, exact pairing variances and the correlated
-sampler run on the rfftn half grid.  Each reference below is the full-grid
-complex-FFT computation it replaced; the two differ only by rounding, so they
-must agree to 1e-12 relative.
+Solves, exact covariances and the correlated sampler run on the rfftn half
+grid.  Each of their references below is the full-grid complex-FFT
+computation it replaced; the two differ only by rounding, so they must agree
+to 1e-12 relative.  Exact pairing variances no longer run on the half grid:
+they are the squared norm of the (filtered) pairing vector, checked against
+the full-grid spectral sum by Parseval at the same 1e-12.
 """
 
 import numpy as np

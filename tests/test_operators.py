@@ -245,18 +245,18 @@ def test_lr_eigenvalues_sign_structure():
         assert np.all(lam.ravel()[1:] < 0)
 
 
-def test_lr_apply_spectral_vs_direct_convolution():
+@pytest.mark.parametrize("d", [1, 2, 3])
+def test_lr_apply_spectral_vs_direct_convolution(d):
     rng = np.random.default_rng(5)
-    shape = TorusShape(2, 8)
+    shape = TorusShape(d, {1: 16, 2: 8, 3: 5}[d])
     op = OperatorSpec.long_range(shape, 1.0)
     kern = op.kernel()
     f = LatticeField(shape, rng.standard_normal(shape.dims))
     got = op.apply(f).values
     # direct circular convolution minus identity
     conv = np.zeros(shape.dims)
-    for dx in range(8):
-        for dy in range(8):
-            conv += kern[dx, dy] * np.roll(np.roll(f.values, dx, axis=0), dy, axis=1)
+    for dx in itertools.product(range(shape.n), repeat=d):
+        conv += kern[dx] * np.roll(f.values, dx, axis=tuple(range(d)))
     want = conv - f.values
     assert np.max(np.abs(got - want)) < 1e-10
 
