@@ -70,30 +70,17 @@ class AggregateSet:
         return bool(pts.size) and bool(np.max(np.abs(pts)) >= self.radius)
 
 
-def _direction_table(d: int) -> np.ndarray:
-    """Rows +e1, -e1, ..., +ed, -ed."""
-    dirs = np.zeros((2 * d, d), dtype=np.int64)
-    for axis in range(d):
-        dirs[2 * axis, axis] = 1
-        dirs[2 * axis + 1, axis] = -1
-    return dirs
-
-
-def _flat_offsets(d: int, side: int) -> np.ndarray:
-    strides = np.array([side**k for k in range(d - 1, -1, -1)], dtype=np.int64)
-    return _direction_table(d) @ strides
+def _flat_offsets(d: int, side: int) -> list[int]:
+    """Flat index steps +e1, -e1, ..., +ed, -ed on a C-ordered (side,)*d grid."""
+    return [o for k in range(d - 1, -1, -1) for o in (side**k, -(side**k))]
 
 
 def _outer_ring(side: int, d: int) -> np.ndarray:
-    """Boolean mask of the cells of the (side,)*d cube that lie on its faces."""
+    """Flat boolean mask of the cells of the (side,)*d cube that lie on its faces."""
     ring = np.zeros((side,) * d, dtype=bool)
     for axis in range(d):
-        idx = [slice(None)] * d
-        idx[axis] = 0
-        ring[tuple(idx)] = True
-        idx[axis] = -1
-        ring[tuple(idx)] = True
-    return ring
+        ring[(slice(None),) * axis + ([0, -1],)] = True
+    return ring.ravel()
 
 
 class BoundaryTouchError(RuntimeError):
@@ -143,9 +130,9 @@ def idla_aggregate(particles: int, d: int, seed: int = 0, box_radius: int | None
     side = 2 * radius + 1
     occupied = np.zeros((side,) * d, dtype=bool)
     flat = occupied.ravel()
-    edge = _outer_ring(side, d).ravel()
-    offsets = _flat_offsets(d, side)
-    origin = int((side ** np.arange(d - 1, -1, -1) * radius).sum())
+    edge = _outer_ring(side, d)
+    offsets = np.array(_flat_offsets(d, side))
+    origin = side**d // 2
     rng = generator(seed, 11)
     stream = np.empty(0, dtype=np.int64)  # flat step offsets, next unread at `head`
     head = 0
@@ -198,12 +185,12 @@ def rotor_router_aggregate(
     radius = default_box_radius(particles, d) if box_radius is None else int(box_radius)
     side = 2 * radius + 1
     n_dirs = 2 * d
-    edge = _outer_ring(side, d).ravel().tobytes()
+    edge = _outer_ring(side, d).tobytes()
     occupied = bytearray(side**d)
     rotors = bytearray([initial_direction]) * side**d
     turn = bytes((r + 1) % n_dirs for r in range(n_dirs))
-    offsets = [int(o) for o in _flat_offsets(d, side)]
-    origin = int((side ** np.arange(d - 1, -1, -1) * radius).sum())
+    offsets = _flat_offsets(d, side)
+    origin = side**d // 2
     for _ in range(particles):
         pos = origin
         while occupied[pos]:
@@ -226,33 +213,34 @@ class PointSourceResult:
 
 
 class _Window:
-    """Contiguous working copies of the centred window of s and u.
+    """Flat contiguous working copies of the centred window of s and u.
 
-    Holds the excess and emitted-share buffers, the window's outer ring as an
-    index tuple and the stencil's (destination, source) view pairs in the
-    order axis 0 up, axis 0 down, axis 1 up, ...  Built once per window size.
+    Holds the excess and emitted-share buffers, the window's outer ring as
+    flat indices and the stencil's (destination, source) pairs in the order
+    axis 0 up, axis 0 down, axis 1 up, ...: along axis k the flat shifts
+    (s[st:], shed[:-st]) and (s[:-st], shed[st:]), st = side**(d-1-k).  A
+    shift also pairs cells that are not neighbours, but only a ring source
+    with a ring destination.  The ring never emits, so its shed is +0.0, and
+    heights are never -0.0, so x + 0.0 == x bit for bit and every site gets
+    the same shares in the same order as from the grid's slice views.  Built
+    once per window size.
     """
 
     def __init__(self, s: np.ndarray, u: np.ndarray, radius: int, window: int):
-        d = s.ndim
-        self.sl = tuple(slice(radius - window, radius + window + 1) for _ in range(d))
-        self.s = s[self.sl].copy()
-        self.u = u[self.sl].copy()
+        side = 2 * window + 1
+        self.sl = (slice(radius - window, radius + window + 1),) * s.ndim
+        self.s = s[self.sl].flatten()
+        self.u = u[self.sl].flatten()
         self.excess = np.empty_like(self.s)
         self.shed = np.empty_like(self.s)
-        self.ring = np.nonzero(_outer_ring(self.s.shape[0], d))
+        self.ring = np.flatnonzero(_outer_ring(side, s.ndim))
         self.stencil = []
-        for axis in range(d):
-            lo = [slice(None)] * d
-            hi = [slice(None)] * d
-            lo[axis] = slice(0, -1)
-            hi[axis] = slice(1, None)
-            self.stencil.append((self.s[tuple(hi)], self.shed[tuple(lo)]))
-            self.stencil.append((self.s[tuple(lo)], self.shed[tuple(hi)]))
+        for st in _flat_offsets(s.ndim, side)[::2]:
+            self.stencil += [(self.s[st:], self.shed[:-st]), (self.s[:-st], self.shed[st:])]
 
     def store(self, s: np.ndarray, u: np.ndarray):
-        s[self.sl] = self.s
-        u[self.sl] = self.u
+        s[self.sl] = self.s.reshape(s[self.sl].shape)
+        u[self.sl] = self.u.reshape(u[self.sl].shape)
 
 
 def point_source_sandpile(
@@ -271,10 +259,10 @@ def point_source_sandpile(
     excess falls to tol.  Mass is conserved to the last bit: window-edge sites
     are never allowed to emit, they just trigger window growth.
 
-    The steps run on contiguous copies of the window, rebuilt only when it
-    grows; every site receives its neighbours' shares in the fixed order
+    The steps run on flat contiguous copies of the window, rebuilt only when
+    it grows; every site receives its neighbours' shares in the fixed order
     axis 0 up, axis 0 down, axis 1 up, ..., so the result is reproducible to
-    the bit.
+    the bit (see _Window).
     """
     if mass < 0:
         raise ValueError("mass must be nonnegative")
@@ -293,7 +281,7 @@ def point_source_sandpile(
         np.maximum(excess, 0.0, out=excess)
         if float(excess.max()) <= tol:
             break
-        if float(excess[w.ring].max()) > tol:
+        if float(excess.take(w.ring).max()) > tol:
             if window >= radius:
                 raise BoundaryTouchError(
                     f"excess reached the box edge; increase the box radius beyond {radius}"
@@ -302,7 +290,7 @@ def point_source_sandpile(
             window += 1
             w = _Window(s, u, radius, window)
             continue
-        excess[w.ring] = 0.0
+        excess.put(w.ring, 0.0)
         w.s -= excess
         np.multiply(excess, share, out=w.shed)
         for dst, src in w.stencil:
@@ -314,8 +302,7 @@ def point_source_sandpile(
                 f"parallel toppling did not settle in {step_limit} steps; max excess {excess.max():.3e}"
             )
     w.store(s, u)
-    occupied = u > 0.0
-    return PointSourceResult(AggregateSet(d, radius, occupied), s, u, steps)
+    return PointSourceResult(AggregateSet(d, radius, u > 0.0), s, u, steps)
 
 
 @dataclass(frozen=True)
@@ -403,11 +390,7 @@ def _dirichlet_poisson(rhs: np.ndarray) -> np.ndarray:
 
 
 def _apply_symmetry(arr: np.ndarray, perm, signs) -> np.ndarray:
-    out = np.transpose(arr, perm)
-    for axis, s in enumerate(signs):
-        if s < 0:
-            out = np.flip(out, axis=axis)
-    return out
+    return np.flip(np.transpose(arr, perm), axis=tuple(k for k, s in enumerate(signs) if s < 0))
 
 
 def _source_symmetries(source: np.ndarray) -> tuple:
@@ -447,9 +430,11 @@ def continuum_obstacle_solve(
     the continuum relation holds exactly for the quadratic part.  v starts at
     the constant max(gamma), stays clamped to gamma on the box edge, and
     relaxes by v <- max(gamma, neighbour average); the iteration is monotone
-    nonincreasing and bounded below by gamma.  The non-coincidence set uses a
-    threshold ten times the stopping tolerance to separate rounding noise
-    from genuine contact.
+    nonincreasing and bounded below by gamma.  Each sweep runs on flat
+    contiguous buffers with the same per-site summation order as a sweep over
+    the grid's shifted interior views, so it matches that sweep bit for bit.
+    The non-coincidence set uses a threshold ten times the stopping tolerance
+    to separate rounding noise from genuine contact.
     """
     source = np.asarray(source, dtype=np.float64)
     d = source.ndim
@@ -468,36 +453,42 @@ def continuum_obstacle_solve(
 
     stop = 1e-10 * float(np.max(np.abs(gamma)))
     v = np.full_like(gamma, float(gamma.max()))
-    boundary_mask = _outer_ring(side, d)
-    v[boundary_mask] = gamma[boundary_mask]
-    interior = tuple(slice(1, -1) for _ in range(d))
+    ring = np.flatnonzero(_outer_ring(side, d))
+    v.put(ring, gamma.take(ring))
     share = 1.0 / (2 * d)
-    # Sweep buffers and the shifted interior views of v, built once.  The
-    # neighbour sum stays grouped by axis, (lo_0 + hi_0) + (lo_1 + hi_1) + ...
-    v_inner = v[interior]
-    gamma_inner = gamma[interior].copy()
-    shifted = []
-    for k in range(d):
-        lo = [slice(1, -1)] * d
-        hi = [slice(1, -1)] * d
-        lo[k] = slice(0, -2)
-        hi[k] = slice(2, None)
-        shifted.append((v[tuple(lo)], v[tuple(hi)]))
-    avg = np.empty_like(gamma_inner)
-    pair = np.empty_like(gamma_inner)
-    candidate = np.empty_like(gamma_inner)
+    # Sweeps run on the flat span of the cells off the two axis-0 faces, with
+    # axis k's neighbours at flat offsets -st and +st, st = side**(d-1-k).
+    # The span's ring cells read wrapped neighbours; they are reset to gamma
+    # before the residual, to which they then add exactly 0, while every
+    # interior residual is >= 0 by monotonicity.  Two buffers alternate as
+    # the old and the new v, so no sweep copies its result back.
+    n, face = side**d, side ** (d - 1)
+    span = slice(face, n - face)
+    span_ring = ring[(ring >= face) & (ring < n - face)] - face
+    gamma_span = gamma.ravel()[span]
+    gamma_ring = gamma_span.take(span_ring)
+    sweeps = []
+    for buf in (v.ravel(), v.flatten()):
+        pairs = [(buf[face - st : n - face - st], buf[face + st : n - face + st])
+                 for st in _flat_offsets(d, side)[::2]]
+        sweeps.append((buf, buf[span], pairs))
+    avg = np.empty_like(gamma_span)
+    pair = np.empty_like(gamma_span)
     residual = math.inf
     for it in range(1, iteration_limit + 1):
+        (_, old, shifted), (buf, new, _) = sweeps[(it - 1) % 2], sweeps[it % 2]
+        # The neighbour sum stays grouped by axis, (lo_0 + hi_0) + (lo_1 + hi_1) + ...
         np.add(*shifted[0], out=avg)
         for lo_view, hi_view in shifted[1:]:
             np.add(lo_view, hi_view, out=pair)
             avg += pair
         avg *= share
-        np.maximum(gamma_inner, avg, out=candidate)
-        np.subtract(v_inner, candidate, out=avg)  # avg is free again: reuse it
+        np.maximum(gamma_span, avg, out=new)
+        new.put(span_ring, gamma_ring)
+        np.subtract(old, new, out=avg)  # avg is free again: reuse it
         residual = float(avg.max())
-        v_inner[...] = candidate
         if residual < stop:
+            v = buf.reshape(gamma.shape)
             occupied = v > gamma + 10.0 * stop
             return ObstacleSolution(float(h), gamma, v, occupied, it, residual, symmetries)
     raise RuntimeError(

@@ -16,10 +16,10 @@ self-loop.  Eigenvalue tables come from the transform of p - delta, which is
 the single source of truth for all long-range spectral computations.
 
 Fields are real and both generators are even, so every spectral table is
-Hermitian: its values at -w are those at w.  Each operator therefore caches
+Hermitian: its values at -w are those at w.  Each operator therefore reads
 one symbol, lambda on the half grid of ``scipy.fft.rfftn`` (last axis cut to
-n//2 + 1 columns), and the long-range step, every Poisson solve and every
-exact covariance read it: each runs as ``rfftn`` -> multiply -> ``irfftn``.
+n//2 + 1 columns): the long-range step, every Poisson solve and every exact
+covariance multiply by it or its inverse, as ``rfftn`` -> multiply -> ``irfftn``.
 The full eigenvalue table stays public for callers that index the whole
 grid; it is computed on each request and not cached.
 
@@ -301,14 +301,14 @@ class BufferedGenerator:
 class OperatorSpec:
     """Chosen generator, nearest-neighbour or long-range, with its cached tables.
 
-    Everything spectral goes through one cached table, the symbol lambda on
-    the half grid of ``scipy.fft.rfftn``, n^(d-1) * (n//2 + 1) entries, cut
-    from the full eigenvalue table.  The half grid suffices because lambda is
-    real and even, so a real field's transform at -w is the conjugate of that
-    at w.  The inverse symbol -1/lambda of the solves is derived from it, and
-    the long-range step of ``BufferedGenerator``, the generator's only
-    implementation, multiplies by it.  The full eigenvalue table is built
-    from the (cached) kernel when asked for and not kept.
+    Everything spectral goes through one table, the symbol lambda on the
+    half grid of ``scipy.fft.rfftn``, n^(d-1) * (n//2 + 1) entries, cut from
+    the full eigenvalue table.  The half grid suffices because lambda is real
+    and even, so a real field's transform at -w is the conjugate of that at
+    w.  The solves' inverse symbol -1/lambda is cached; lambda itself only for
+    the long-range operator, whose step in ``BufferedGenerator``, the
+    generator's only implementation, multiplies by it.  The full eigenvalue
+    table is built from the (cached) kernel when asked for and not kept.
     The long-range kernel cuts its real-space Ewald sum at a sphere whose
     dropped tail is provably below half of ``tol`` (see ``lr_kernel``).
     """
@@ -349,19 +349,19 @@ class OperatorSpec:
         return lr_eigenvalues(self.kernel())
 
     def symbol(self) -> np.ndarray:
-        """lambda on the rfftn half grid: the full table's first n//2 + 1 columns, cached."""
-        if self._symbol is None:
-            self._symbol = np.ascontiguousarray(self.eigenvalues()[..., : self.shape.n // 2 + 1])
-        return self._symbol
+        """lambda on the rfftn half grid (the full table's first n//2 + 1 columns), kept for lr."""
+        if self._symbol is not None:
+            return self._symbol
+        lam = np.ascontiguousarray(self.eigenvalues()[..., : self.shape.n // 2 + 1])
+        if self.kind == "lr":
+            self._symbol = lam
+        return lam
 
     def inverse_symbol(self) -> np.ndarray:
         """-1/lambda on the rfftn half grid, and 0 where lambda is 0 (the zero mode)."""
         if self._inv is None:
             lam = self.symbol()
-            inv = np.zeros(lam.shape)
-            np.divide(-1.0, lam, out=inv, where=lam != 0.0)
-            inv.flat[0] = 0.0
-            self._inv = inv
+            self._inv = np.divide(-1.0, lam, out=np.zeros(lam.shape), where=lam != 0.0)
         return self._inv
 
     def apply(self, f: LatticeField) -> LatticeField:

@@ -238,6 +238,15 @@ def replicate_sigma(spec: SigmaSpec, shape: TorusShape, seed: int, index: int) -
 
 
 def make_initial_config(sigma: LatticeField) -> LatticeField:
-    """Height field 1 + sigma - mean(sigma); total mass is exactly the site count."""
+    """Height field 1 + sigma - mean(sigma), whose total mass is the site count.
+
+    Refuses noise so heavy-tailed that centring it cancels in double precision:
+    a mass off the site count by more than 1e-9 of it (or NaN) means nothing.
+    """
     v = sigma.values
-    return LatticeField(sigma.shape, 1.0 + v - v.mean())
+    heights = 1.0 + v - v.mean()
+    mass, nsites = float(heights.sum()), sigma.shape.nsites
+    if not abs(mass - nsites) <= 1e-9 * nsites:
+        raise ValueError(f"initial heights sum to {mass:.6g}, not the site count {nsites}: "
+                         "the noise is too heavy-tailed to center in double precision")
+    return LatticeField(sigma.shape, heights)

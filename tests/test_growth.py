@@ -410,6 +410,33 @@ def test_point_source_matches_reference_at_moderate_masses(d, mass):
     assert np.array_equal(res.odometer, u)
 
 
+@pytest.mark.parametrize("tol, frozen_steps", [(1e-6, 13041), (1e-2, 4955)])
+def test_point_source_matches_reference_at_the_benchmark_mass(tol, frozen_steps):
+    # perfbench's point-source manifest (tol 1e-6): the window grows to 73 x 73,
+    # so the flat stencil shifts wrap across many rows of ring cells.  At
+    # tol 1e-2 ring cells also hold excess below tol, which must not be shed.
+    s, u, steps = reference_point_source(4000.0, 2, tol=tol)
+    res = point_source_sandpile(4000.0, 2, tol=tol)
+    assert steps == frozen_steps
+    assert res.steps == steps
+    assert np.array_equal(res.final, s)
+    assert np.array_equal(res.odometer, u)
+
+
+def test_obstacle_solver_matches_reference_at_the_benchmark_grid():
+    # perfbench's obstacle-shape manifest: h = 0.04, box 2, source ball 0.5 4.0.
+    h = 0.04
+    axis = (np.arange(101) - 50) * h
+    x, y = np.meshgrid(axis, axis, indexing="ij")
+    sol = continuum_obstacle_solve(np.where(x * x + y * y <= 0.25, 4.0, 0.0), h)
+    v, occupied, iterations, residual = reference_obstacle_sweeps(sol.gamma)
+    assert iterations == 4773
+    assert sol.iterations == iterations
+    assert sol.residual == residual
+    assert np.array_equal(sol.v, v)
+    assert np.array_equal(sol.occupied, occupied)
+
+
 @settings(max_examples=30, deadline=None)
 @given(
     d=st.integers(1, 3),

@@ -207,5 +207,7 @@ def check_complete_run(p, out):
 @example(text="kind = mean-odometer\nd = 2\nn = 8, 8\nsamples = 4\n")
 @example(text="kind = variance-structure\nd = 2\nn = 8\nr = 1, 1\n")
 @example(text="kind = kernel-decay\nd = 3\nn = 8\noperator = lr\nalpha = 1.0\nr = 2, 1, 2\n")
+# Pareto noise this heavy cancels the centred heights' mass (-6.6e268, not 64)
+@example(text="kind = topple\nd = 2\nn = 8\nsigma = pareto\npareto_index = 0.01\n")
 def test_any_manifest_exits_cleanly(text):
     check_manifest(text)

@@ -333,6 +333,20 @@ def test_solve_poisson_round_trip():
         assert np.max(np.abs(back - charge)) < 1e-9
 
 
+def test_nn_solve_caches_only_the_inverse_symbol():
+    # The nearest-neighbour step never reads lambda, so a solve keeps -1/lambda
+    # alone; the long-range operator also keeps lambda, which its step reads.
+    shape = TorusShape(3, 6)
+    block = np.random.default_rng(8).standard_normal((2,) + shape.dims)
+    nn, lr = OperatorSpec.nearest_neighbour(shape), OperatorSpec.long_range(shape, 1.0)
+    for op in (nn, lr):
+        op.solve(block)
+    assert nn._symbol is None and nn._inv is not None
+    assert lr._symbol is not None and lr._inv is not None
+    assert np.array_equal(nn.symbol(), nn.eigenvalues()[..., :4])
+    assert nn._symbol is None
+
+
 def test_solve_poisson_rejects_unbalanced_charge():
     shape = TorusShape(1, 4)
     op = OperatorSpec.nearest_neighbour(shape)
