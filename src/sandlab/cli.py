@@ -7,7 +7,10 @@ describes and prints one machine-parsable line per criterion.  Only once the
 experiment has finished does it create the output directory and write the
 CSV tables (and field snapshots or PGM images on request) into it, so a run
 that exits 1 leaves no output directory.  Exit codes: 0 all criteria pass,
-2 some criterion failed, 1 usage or validation error.
+2 some criterion failed, 1 a bad manifest or file, or a failed experiment.
+Every verb that exits 1 prints one line on standard error, ``invalid: ...``
+from ``validate`` and ``error: ...`` from ``run``, ``heatmap`` and ``info``,
+and never a traceback.
 
 Every output byte is determined by the manifest content and the seed; thread
 count never changes results, only wall time.
@@ -191,10 +194,19 @@ _OPERATOR_KEYS = (
     Key("alpha", "float", bound="> 0"),
 )
 
+# sigma -> its SigmaSpec from the params and the torus shape, the only list of regimes
+_SIGMAS = {
+    "gaussian": lambda p, shape: SigmaSpec.iid_gaussian(),
+    "uniform": lambda p, shape: SigmaSpec.iid_uniform(),
+    "correlated": lambda p, shape: SigmaSpec.correlated_gaussian(
+        power_law_multiplier(shape, -4.0 * p["delta"], at_zero=1.0)),
+    "stable": lambda p, shape: SigmaSpec.stable(p["stable_alpha"], p["scale"]),
+    "pareto": lambda p, shape: SigmaSpec.pareto(p["pareto_index"]),
+}
+
 _DELTA = Key("delta", "float", required=True, regime="correlated")
 _SIGMA_KEYS = (
-    Key("sigma", "str", default="gaussian",
-        choices=("gaussian", "uniform", "correlated", "stable", "pareto")),
+    Key("sigma", "str", default="gaussian", choices=tuple(_SIGMAS)),
     Key("stable_alpha", "float", required=True, bound="(0, 2]", regime="stable"),
     Key("pareto_index", "float", required=True, bound="> 0", regime="pareto"),
     Key("scale", "float", default=1.0, bound="> 0", regime="stable"),
@@ -350,20 +362,6 @@ def parse_test_function(text: str, d: int) -> TestFunction:
     return factory(wave, amplitude)
 
 
-def _sigma_spec(p: dict, shape: TorusShape) -> SigmaSpec:
-    sigma = p["sigma"]
-    if sigma == "gaussian":
-        return SigmaSpec.iid_gaussian()
-    if sigma == "uniform":
-        return SigmaSpec.iid_uniform()
-    if sigma == "stable":
-        return SigmaSpec.stable(p["stable_alpha"], p["scale"])
-    if sigma == "pareto":
-        return SigmaSpec.pareto(p["pareto_index"])
-    khat = power_law_multiplier(shape, -4.0 * p["delta"], at_zero=1.0)
-    return SigmaSpec.correlated_gaussian(khat)
-
-
 # --- run records ---------------------------------------------------------
 
 @dataclass(frozen=True)
@@ -374,6 +372,24 @@ class CriterionResult:
 
     def line(self) -> str:
         return f"criterion {self.name} = {'pass' if self.passed else 'fail'} ({self.detail})"
+
+
+def _within_tol(name: str, label: str, value: float, tol: float) -> CriterionResult:
+    """Pass when value <= tol; the detail reads ``<label>=<value> tol=<tol>``."""
+    return CriterionResult(name, value <= tol, f"{label}={value:.4f} tol={tol}")
+
+
+def _growth_criteria(p, metrics, predicted: float, mean: str = "") -> list:
+    """ball-deviation, and radius where the kind has tol_radius, over the
+    mean of one or more aggregates' ShapeMetrics; ``mean`` prefixes the labels."""
+    deviation = float(np.mean([m.ball_deviation for m in metrics]))
+    criteria = [_within_tol("ball-deviation", f"{mean}deviation", deviation, p["tol_deviation"])]
+    if "tol_radius" in p:
+        radius = float(np.mean([(m.inradius + m.outradius) / 2.0 for m in metrics]))
+        err = abs(radius - predicted) / predicted
+        criteria.append(CriterionResult("radius", err <= p["tol_radius"],
+                                        f"{mean}radius={radius:.3f} predicted={predicted:.3f} err={err:.4f}"))
+    return criteria
 
 
 @dataclass(frozen=True)
@@ -421,7 +437,7 @@ def _field_setup(p):
     """The operator and the sampled initial configuration of topple and odometer."""
     shape = TorusShape(p["d"], p["n"])
     op = OperatorSpec(p["operator"], shape, alpha=p["alpha"])
-    return op, make_initial_config(sample_sigma(_sigma_spec(p, shape), shape, p["seed"]))
+    return op, make_initial_config(sample_sigma(_SIGMAS[p["sigma"]](p, shape), shape, p["seed"]))
 
 
 @_experiment("topple", *_FIELD_KEYS)
@@ -501,15 +517,13 @@ def _run_variance(p, workers):
     exp = exps[0]
     artifacts = {"variance.csv": _variance_table(exp)}
     flat = exp.ratio_flatness()
-    criteria = [CriterionResult("ratio-flat", flat <= p["tol_flatness"],
-                                f"max deviation={flat:.4f} tol={p['tol_flatness']}")]
+    criteria = [_within_tol("ratio-flat", "max deviation", flat, p["tol_flatness"])]
     if p["f2"]:  # f2 pairs at the largest size only, in the same pass
         exp2 = exps[1]
         r1 = next(r.ratio for r in exp.rows if r.n == exp2.rows[0].n)
         gap = abs(r1 - exp2.rows[0].ratio) / r1
         artifacts["variance_f2.csv"] = _variance_table(exp2)
-        criteria.append(CriterionResult("f-agreement", gap <= p["tol_agreement"],
-                                        f"relative gap={gap:.4f} tol={p['tol_agreement']}"))
+        criteria.append(_within_tol("f-agreement", "relative gap", gap, p["tol_agreement"]))
     return criteria, artifacts
 
 
@@ -643,16 +657,7 @@ def _run_idla(p, workers):
     artifacts = {"idla.csv": (["seed", "volume", "inradius", "outradius", "deviation"], rows)}
     if p["heatmap"]:
         artifacts["idla.pgm"] = results[0][1].occupied
-    mean_dev = float(np.mean([m.ball_deviation for m, _ in results]))
-    mean_radius = float(np.mean([(m.inradius + m.outradius) / 2.0 for m, _ in results]))
-    radius_err = abs(mean_radius - predicted) / predicted
-    criteria = [
-        CriterionResult("ball-deviation", mean_dev <= p["tol_deviation"],
-                        f"mean deviation={mean_dev:.4f} tol={p['tol_deviation']}"),
-        CriterionResult("radius", radius_err <= p["tol_radius"],
-                        f"mean radius={mean_radius:.3f} predicted={predicted:.3f} err={radius_err:.4f}"),
-    ]
-    return criteria, artifacts
+    return _growth_criteria(p, [m for m, _ in results], predicted, mean="mean "), artifacts
 
 
 @_experiment("rotor",
@@ -673,9 +678,7 @@ def _run_rotor(p, workers):
     }
     if p["heatmap"]:
         artifacts["rotor.pgm"] = agg.occupied
-    criteria = [CriterionResult("ball-deviation", m.ball_deviation <= p["tol_deviation"],
-                                f"deviation={m.ball_deviation:.4f} tol={p['tol_deviation']}")]
-    return criteria, artifacts
+    return _growth_criteria(p, [m], predicted), artifacts
 
 
 @_experiment("point-source",
@@ -693,14 +696,7 @@ def _run_point_source(p, workers):
     if toppled:
         m = shape_metrics(result.aggregate, predicted)
         row = [m.volume, m.inradius, m.outradius, m.ball_deviation, result.steps]
-        radius = (m.inradius + m.outradius) / 2.0
-        radius_err = abs(radius - predicted) / predicted
-        criteria = [
-            CriterionResult("ball-deviation", m.ball_deviation <= p["tol_deviation"],
-                            f"deviation={m.ball_deviation:.4f} tol={p['tol_deviation']}"),
-            CriterionResult("radius", radius_err <= p["tol_radius"],
-                            f"radius={radius:.3f} predicted={predicted:.3f} err={radius_err:.4f}"),
-        ]
+        criteria = _growth_criteria(p, [m], predicted)
     else:
         row = [0, 0.0, 0.0, 0.0, result.steps]
         criteria = [CriterionResult("ball-deviation", p["mass"] <= 1.0,
@@ -805,6 +801,51 @@ def run(manifest: Manifest, outdir=None, workers: int = 1) -> RunRecord:
 
 # --- entry point ---------------------------------------------------------
 
+def _run_verb(args):
+    manifest = load_manifest(args.manifest)
+    workers = 1 if args.single_thread else thread_count(None)
+    record = run(manifest, outdir=args.out, workers=workers)
+    lines = [c.line() for c in record.criteria]
+    lines.append(f"manifest-sha256 = {record.manifest_sha}")
+    lines.append(f"wall-seconds = {record.wall_seconds:.3f}")
+    return lines, 0 if record.ok else 2
+
+
+def _validate_verb(args):
+    manifest = load_manifest(args.manifest)
+    validate_manifest(manifest)
+    return [f"ok: kind={manifest.kind} sha256={manifest_hash(manifest)}"], 0
+
+
+def _heatmap_verb(args):
+    write_heatmap(args.out, read_field(args.field))
+    return [f"wrote {args.out}"], 0
+
+
+def _info_verb(args):
+    field = read_field(args.field)
+    v = field.values
+    payload = hashlib.sha256(np.ascontiguousarray(v, dtype="<f8").tobytes()).hexdigest()
+    return [
+        f"d = {field.shape.d}",
+        f"n = {field.shape.n}",
+        f"min = {format_float(float(v.min()))}",
+        f"max = {format_float(float(v.max()))}",
+        f"mean = {format_float(float(v.mean()))}",
+        f"sha256 = {payload}",
+    ], 0
+
+
+# verb -> (handler, prefix of its one error line, help, positional arguments);
+# a handler returns (stdout lines, exit code)
+_VERBS = {
+    "run": (_run_verb, "error", "execute an experiment manifest", ("manifest",)),
+    "validate": (_validate_verb, "invalid", "check a manifest without running it", ("manifest",)),
+    "heatmap": (_heatmap_verb, "error", "render a d=2 field snapshot to PGM", ("field", "out")),
+    "info": (_info_verb, "error", "describe a field snapshot", ("field",)),
+}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(
         prog="sandlab",
@@ -812,73 +853,25 @@ def main(argv=None) -> int:
     )
     sub = parser.add_subparsers(dest="verb", required=True)
 
-    p_run = sub.add_parser("run", help="execute an experiment manifest")
-    p_run.add_argument("manifest")
+    for verb, (_, _, about, positionals) in _VERBS.items():
+        verb_parser = sub.add_parser(verb, help=about)
+        for name in positionals:
+            verb_parser.add_argument(name)
+    p_run = sub.choices["run"]
     p_run.add_argument("--out", default=None, help="override the manifest's output directory")
     p_run.add_argument("--single-thread", action="store_true",
                        help="force serial execution (bit-reproducibility audits)")
 
-    p_val = sub.add_parser("validate", help="check a manifest without running it")
-    p_val.add_argument("manifest")
-
-    p_heat = sub.add_parser("heatmap", help="render a d=2 field snapshot to PGM")
-    p_heat.add_argument("field")
-    p_heat.add_argument("out")
-
-    p_info = sub.add_parser("info", help="describe a field snapshot")
-    p_info.add_argument("field")
-
     args = parser.parse_args(argv)
-
-    if args.verb == "validate":
-        try:
-            manifest = load_manifest(args.manifest)
-            validate_manifest(manifest)
-        except (OSError, ManifestError) as exc:
-            print(f"invalid: {exc}", file=sys.stderr)
-            return 1
-        print(f"ok: kind={manifest.kind} sha256={manifest_hash(manifest)}")
-        return 0
-
-    if args.verb == "heatmap":
-        try:
-            field = read_field(args.field)
-            write_heatmap(args.out, field)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        print(f"wrote {args.out}")
-        return 0
-
-    if args.verb == "info":
-        try:
-            field = read_field(args.field)
-        except (OSError, ValueError) as exc:
-            print(f"error: {exc}", file=sys.stderr)
-            return 1
-        v = field.values
-        payload = hashlib.sha256(np.ascontiguousarray(v, dtype="<f8").tobytes()).hexdigest()
-        print(f"d = {field.shape.d}")
-        print(f"n = {field.shape.n}")
-        print(f"min = {format_float(float(v.min()))}")
-        print(f"max = {format_float(float(v.max()))}")
-        print(f"mean = {format_float(float(v.mean()))}")
-        print(f"sha256 = {payload}")
-        return 0
-
-    # run
+    handler, prefix, _, _ = _VERBS[args.verb]
     try:
-        manifest = load_manifest(args.manifest)
-        workers = 1 if args.single_thread else thread_count(None)
-        record = run(manifest, outdir=args.out, workers=workers)
-    except (OSError, ValueError, RuntimeError, MemoryError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        lines, code = handler(args)
+    except (OSError, ValueError, ArithmeticError, RuntimeError, MemoryError) as exc:
+        print(f"{prefix}: {exc}", file=sys.stderr)
         return 1
-    for c in record.criteria:
-        print(c.line())
-    print(f"manifest-sha256 = {record.manifest_sha}")
-    print(f"wall-seconds = {record.wall_seconds:.3f}")
-    return 0 if record.ok else 2
+    for line in lines:
+        print(line)
+    return code
 
 
 if __name__ == "__main__":

@@ -2,6 +2,7 @@
 
 import filecmp
 import os
+import re
 from pathlib import Path
 
 import numpy as np
@@ -473,6 +474,48 @@ def test_heatmap_and_info_verbs(tmp_path, monkeypatch, capsys):
     assert Path("outh/u.pgm").read_bytes().startswith(b"P5\n8 8\n255\n")
 
     assert main(["info", path]) == 1  # manifests are not field snapshots
+    errors = [capsys.readouterr().err]
+
+    assert main(["heatmap", "missing.dsf1", "outh/m.pgm"]) == 1
+    errors.append(capsys.readouterr().err)
+    assert errors[-1].startswith("error: ")
+
+    d1 = write(tmp_path, "d1.txt", "kind = topple\nd = 1\nn = 8\nout = outd1\n")
+    assert main(["run", d1]) == 0
+    capsys.readouterr()
+    assert main(["heatmap", "outd1/odometer.dsf1", "outd1/u.pgm"]) == 1
+    errors.append(capsys.readouterr().err)
+    assert errors[-1] == "error: heatmaps need d=2, got d=1\n"
+
+    assert main(["validate", str(tmp_path)]) == 1  # a directory is not a manifest
+    errors.append(capsys.readouterr().err)
+    assert errors[-1].startswith("invalid: ")
+    assert not any("Traceback" in err for err in errors)
+
+
+# Each growth criterion's detail shape: idla labels its trial means "mean"
+# even at trials = 1, and rotor has no radius criterion.
+_DEV = r"deviation=\d+\.\d{4} tol=\d+\.\d+"
+_RADIUS = r"radius=\d+\.\d{3} predicted=\d+\.\d{3} err=\d+\.\d{4}"
+
+
+@pytest.mark.parametrize("text, details", [
+    ("kind = idla\nparticles = 200\nd = 2\ntrials = 1\n",
+     {"ball-deviation": "mean " + _DEV, "radius": "mean " + _RADIUS}),
+    ("kind = idla\nparticles = 200\nd = 2\ntrials = 2\n",
+     {"ball-deviation": "mean " + _DEV, "radius": "mean " + _RADIUS}),
+    ("kind = rotor\nparticles = 200\nd = 2\n", {"ball-deviation": _DEV}),
+    ("kind = point-source\nmass = 200\nd = 2\n", {"ball-deviation": _DEV, "radius": _RADIUS}),
+    ("kind = point-source\nmass = 0.5\nd = 2\n",
+     {"ball-deviation": re.escape("no site toppled; mass fits in one cell")}),
+], ids=["idla-trials-1", "idla-trials-2", "rotor", "point-source", "point-source-untoppled"])
+def test_growth_criteria_wording(tmp_path, text, details):
+    cli.run(parse_manifest(text), tmp_path / "out")
+    summary = (tmp_path / "out" / "summary.txt").read_text()
+    found = dict(re.findall(r"^criterion (\S+) = (?:pass|fail) \((.*)\)$", summary, re.M))
+    assert list(found) == list(details)
+    for name, pattern in details.items():
+        assert re.fullmatch(pattern, found[name]), (name, found[name])
 
 
 def assert_dirs_equal(a, b):

@@ -209,5 +209,11 @@ def check_complete_run(p, out):
 @example(text="kind = kernel-decay\nd = 3\nn = 8\noperator = lr\nalpha = 1.0\nr = 2, 1, 2\n")
 # Pareto noise this heavy cancels the centred heights' mass (-6.6e268, not 64)
 @example(text="kind = topple\nd = 2\nn = 8\nsigma = pareto\npareto_index = 0.01\n")
+# math.gamma(d/2 + 1) in the ball volume overflows for d >= 342, and box / h for
+# a subnormal h is inf: both raise OverflowError, an ArithmeticError
+@example(text="kind = idla\nparticles = 1\nd = 400\ntrials = 1\n")
+@example(text="kind = rotor\nparticles = 1\nd = 400\n")
+@example(text="kind = point-source\nmass = 1\nd = 400\n")
+@example(text="kind = obstacle-shape\nd = 2\nh = 1e-320\nbox = 2.0\nsource = point 1.0\n")
 def test_any_manifest_exits_cleanly(text):
     check_manifest(text)
