@@ -22,9 +22,7 @@ def generator(seed: int, *stream: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key))
 
 
-def thread_count(override: int | None = None) -> int:
-    if override is not None:
-        return max(1, int(override))
+def thread_count() -> int:
     env = os.environ.get(THREADS_ENV)
     if env:
         try:

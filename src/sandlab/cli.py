@@ -7,10 +7,10 @@ describes and prints one machine-parsable line per criterion.  Only once the
 experiment has finished does it create the output directory and write the
 CSV tables (and field snapshots or PGM images on request) into it, so a run
 that exits 1 leaves no output directory.  Exit codes: 0 all criteria pass,
-2 some criterion failed, 1 a bad manifest or file, or a failed experiment.
-Every verb that exits 1 prints one line on standard error, ``invalid: ...``
-from ``validate`` and ``error: ...`` from ``run``, ``heatmap`` and ``info``,
-and never a traceback.
+2 some criterion failed, 1 a bad command line, manifest or file, or a failed
+experiment.  Every exit 1 prints one line on standard error, ``invalid: ...``
+from ``validate`` and ``error: ...`` from ``run``, ``heatmap``, ``info`` and
+a usage error, and never a traceback.
 
 Every output byte is determined by the manifest content and the seed; thread
 count never changes results, only wall time.
@@ -31,6 +31,7 @@ import numpy as np
 
 from ._util import axis_sum, parallel_map, thread_count
 from .fieldio import (
+    format_cell,
     format_float,
     heatmap_bytes,
     read_field,
@@ -93,12 +94,6 @@ def _parse_scalar(tok: str):
     return value
 
 
-def _format_scalar(v) -> str:
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    return format_float(v) if isinstance(v, float) else str(v)
-
-
 def parse_manifest(text: str) -> Manifest:
     values = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -126,7 +121,7 @@ def serialize_manifest(m: Manifest) -> str:
     lines = [f"kind = {m.kind}"]
     for key in sorted(m.values):
         v = m.values[key]
-        lines.append(f"{key} = {', '.join(map(_format_scalar, v if isinstance(v, tuple) else (v,)))}")
+        lines.append(f"{key} = {', '.join(map(format_cell, v if isinstance(v, tuple) else (v,)))}")
     return "\n".join(lines) + "\n"
 
 
@@ -199,7 +194,7 @@ _SIGMAS = {
     "gaussian": lambda p, shape: SigmaSpec.iid_gaussian(),
     "uniform": lambda p, shape: SigmaSpec.iid_uniform(),
     "correlated": lambda p, shape: SigmaSpec.correlated_gaussian(
-        power_law_multiplier(shape, -4.0 * p["delta"], at_zero=1.0)),
+        power_law_multiplier(shape, -4.0 * p["delta"])),
     "stable": lambda p, shape: SigmaSpec.stable(p["stable_alpha"], p["scale"]),
     "pareto": lambda p, shape: SigmaSpec.pareto(p["pareto_index"]),
 }
@@ -803,7 +798,7 @@ def run(manifest: Manifest, outdir=None, workers: int = 1) -> RunRecord:
 
 def _run_verb(args):
     manifest = load_manifest(args.manifest)
-    workers = 1 if args.single_thread else thread_count(None)
+    workers = 1 if args.single_thread else thread_count()
     record = run(manifest, outdir=args.out, workers=workers)
     lines = [c.line() for c in record.criteria]
     lines.append(f"manifest-sha256 = {record.manifest_sha}")
@@ -846,8 +841,15 @@ _VERBS = {
 }
 
 
+class _Parser(argparse.ArgumentParser):
+    """A usage error exits 1 with one ``error: ...`` line: exit 2 means a failed criterion."""
+
+    def error(self, message):
+        self.exit(1, f"error: {message}\n")
+
+
 def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sandlab",
         description="divisible sandpile laboratory: experiments, snapshots, heatmaps",
     )

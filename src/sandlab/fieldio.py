@@ -45,20 +45,20 @@ def format_float(x: float) -> str:
     return repr(float(x))
 
 
+def format_cell(cell) -> str:
+    """A CSV cell or manifest value: true/false, an integer, a ``format_float``
+    or the text itself."""
+    if isinstance(cell, bool):
+        return "true" if cell else "false"
+    if isinstance(cell, (int, np.integer)):
+        return str(int(cell))
+    if isinstance(cell, (float, np.floating)):
+        return format_float(float(cell))
+    return str(cell)
+
+
 def write_csv(path, header: list[str], rows: list[list]):
-    lines = [",".join(header)]
-    for row in rows:
-        cells = []
-        for cell in row:
-            if isinstance(cell, bool):
-                cells.append("true" if cell else "false")
-            elif isinstance(cell, (int, np.integer)):
-                cells.append(str(int(cell)))
-            elif isinstance(cell, (float, np.floating)):
-                cells.append(format_float(float(cell)))
-            else:
-                cells.append(str(cell))
-        lines.append(",".join(cells))
+    lines = [",".join(header)] + [",".join(map(format_cell, row)) for row in rows]
     Path(path).write_bytes(("\n".join(lines) + "\n").encode("ascii"))
 
 

@@ -149,12 +149,12 @@ def _mode_setup(mode: ScalingMode, shape: TorusShape):
         return op, SigmaSpec.iid_gaussian(), None, None, 2.0
     if mode.kind == "nn-cor":
         op = OperatorSpec.nearest_neighbour(shape)
-        khat_lattice = power_law_multiplier(shape, -4.0 * mode.delta, at_zero=1.0)
+        khat_lattice = power_law_multiplier(shape, -4.0 * mode.delta)
         khat_fn = lambda z: float(np.dot(z, z)) ** (-2.0 * mode.delta)
         return op, SigmaSpec.correlated_gaussian(khat_lattice), khat_lattice, khat_fn, 2.0
     if mode.kind == "lr-ind":
         op = OperatorSpec.long_range(shape, mode.alpha)
-        return op, SigmaSpec.iid_gaussian(), None, None, min(2.0, mode.alpha)
+        return op, SigmaSpec.iid_gaussian(), None, None, _growth_gamma("lr", mode.alpha)
     raise ValueError("stable mode pairs through run_charfun_experiment")
 
 
@@ -300,17 +300,17 @@ class CharfunExperiment:
     calibration: float         # (2d)^alpha from the generator normalization
     rows: tuple[CharfunRow, ...]
 
-    def fitted_scale(self, min_signal: float = 5.0) -> float:
+    def fitted_scale(self) -> float:
         """Weighted through-origin fit of -log|phi| against t^alpha.
 
-        Rows whose |phi| estimate sits below min_signal standard errors, or
+        Rows whose |phi| estimate sits below five standard errors, or
         rounds to one, are dropped: the logarithm of a value consistent with
         zero, or of exactly one, carries no information about the decay
         exponent.
         """
         xs, ys, ws = [], [], []
         for r in self.rows:
-            if r.cf_abs < min_signal * r.stderr or r.cf_abs >= 1.0:
+            if r.cf_abs < 5.0 * r.stderr or r.cf_abs >= 1.0:
                 continue
             se_log = r.stderr / r.cf_abs
             xs.append(r.t ** self.alpha)
@@ -624,8 +624,7 @@ def covariance_decay_slope(kind: str, d: int, n: int, rs, alpha: float | None = 
     values = covariance_profile(kind, d, n, rs, alpha=alpha)
     if np.any(values <= 0):
         return DecayResult(False, "covariance is not positive over the requested range", None, predicted, tuple(values))
-    slope = float(np.polyfit(np.log(rs), np.log(values), 1)[0])
-    return DecayResult(True, "", slope, predicted, tuple(values))
+    return DecayResult(True, "", loglog_slope(rs, values), predicted, tuple(values))
 
 
 @dataclass(frozen=True)

@@ -418,11 +418,10 @@ def _symmetrize_like_source(field: np.ndarray, symmetries: tuple) -> np.ndarray:
     return np.mean([field] + [_apply_symmetry(field, *g) for g in symmetries], axis=0)
 
 
-def continuum_obstacle_solve(
-    source: np.ndarray,
-    h: float,
-    iteration_limit: int = 400_000,
-) -> ObstacleSolution:
+OBSTACLE_SWEEPS = 400_000
+
+
+def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
     """Predicted limiting shape for a source density on a centered grid.
 
     The obstacle is gamma(x) = -|x|^2 plus a zero-boundary potential with
@@ -475,7 +474,7 @@ def continuum_obstacle_solve(
     avg = np.empty_like(gamma_span)
     pair = np.empty_like(gamma_span)
     residual = math.inf
-    for it in range(1, iteration_limit + 1):
+    for it in range(1, OBSTACLE_SWEEPS + 1):
         (_, old, shifted), (buf, new, _) = sweeps[(it - 1) % 2], sweeps[it % 2]
         # The neighbour sum stays grouped by axis, (lo_0 + hi_0) + (lo_1 + hi_1) + ...
         np.add(*shifted[0], out=avg)
@@ -492,5 +491,5 @@ def continuum_obstacle_solve(
             occupied = v > gamma + 10.0 * stop
             return ObstacleSolution(float(h), gamma, v, occupied, it, residual, symmetries)
     raise RuntimeError(
-        f"obstacle iteration did not converge in {iteration_limit} sweeps; last residual {residual:.3e}"
+        f"obstacle iteration did not converge in {OBSTACLE_SWEEPS} sweeps; last residual {residual:.3e}"
     )

@@ -3,9 +3,10 @@
 Sites live on the grid {0, ..., n-1}^d with periodic wrap-around.  A real
 field assigns one float per site, stored as a d-dimensional array in row-major
 order so that ``values.ravel()`` is the canonical site enumeration.  Spectral
-tables are indexed like the FFT grid; the transforms themselves are the
-unnormalized forward FFTs of numpy and scipy (the inverse carries the n^-d),
-taken where they are used.
+tables are indexed like the FFT grid, and the transforms are the unnormalized
+forward FFTs of numpy and scipy (the inverse carries the n^-d).  The long-range
+step, the Poisson solves and the colored-noise filter all multiply by a real
+half-grid table through the one round trip of ``half_grid_product``.
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.fft
 
 from ._util import axis_sum
 from .testfun import TestFunction
@@ -85,6 +87,16 @@ def frequency_norm2(shape: TorusShape) -> np.ndarray:
     """Squared Euclidean norm of the centered frequency at each FFT index."""
     w = frequency_axes(shape)[0].astype(np.float64)
     return axis_sum(w**2, shape.d)
+
+
+def half_grid_product(x: np.ndarray, table: np.ndarray, shape: TorusShape) -> np.ndarray:
+    """irfftn(rfftn(x) * table) over the trailing d axes of x; leading axes
+    index replicates.  table is real, even under w -> -w, and read on the
+    rfftn half grid of n^(d-1) * (n//2 + 1) entries."""
+    axes = tuple(range(x.ndim - shape.d, x.ndim))
+    coeffs = scipy.fft.rfftn(x, axes=axes)
+    coeffs *= table
+    return scipy.fft.irfftn(coeffs, s=shape.dims, axes=axes)
 
 
 def _reverse_indices(c: np.ndarray) -> np.ndarray:

@@ -25,14 +25,14 @@ from .operators import OperatorSpec, solve_poisson
 from .sampling import half_multiplier
 
 
-def eta_field(s: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9) -> LatticeField:
+def eta_field(s: LatticeField, op: OperatorSpec) -> LatticeField:
     """Solve (-L) eta = s - 1 with mean-zero eta.
 
-    The configuration must carry total mass nsites up to mass_tol * nsites,
+    The configuration must carry total mass nsites up to 1e-9 * nsites,
     otherwise the charge s - 1 is not solvable.
     """
     charge = LatticeField(s.shape, s.values - 1.0)
-    return solve_poisson(charge, op, mass_tol=mass_tol)
+    return solve_poisson(charge, op)
 
 
 def odometer_spectral(s: LatticeField, op: OperatorSpec) -> LatticeField:

@@ -19,7 +19,8 @@ Fields are real and both generators are even, so every spectral table is
 Hermitian: its values at -w are those at w.  Each operator therefore reads
 one symbol, lambda on the half grid of ``scipy.fft.rfftn`` (last axis cut to
 n//2 + 1 columns): the long-range step, every Poisson solve and every exact
-covariance multiply by it or its inverse, as ``rfftn`` -> multiply -> ``irfftn``.
+covariance multiply by it or its inverse, the first two through
+``lattice.half_grid_product``.
 The full eigenvalue table stays public for callers that index the whole
 grid; it is computed on each request and not cached.
 
@@ -50,11 +51,10 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 from scipy.special import exp1, gamma as gamma_fn, gammaincc
 
 from ._util import axis_sum
-from .lattice import LatticeField, TorusShape, frequency_grid, frequency_norm2
+from .lattice import LatticeField, TorusShape, frequency_grid, frequency_norm2, half_grid_product
 
 _EWALD_RADIUS_CAP = 16
 
@@ -255,7 +255,7 @@ class BufferedGenerator:
         self.out = np.empty(dims)
         d, n = op.shape.d, op.shape.n
         if op.kind == "lr":
-            self._symbol, self._dims = op.symbol(), op.shape.dims
+            self._symbol, self._shape = op.symbol(), op.shape
             return
         self._symbol = None
         self._share = 2.0 * d
@@ -278,10 +278,7 @@ class BufferedGenerator:
         """Overwrite and return ``out`` with L applied to ``x``."""
         x, g = self.x, self.out
         if self._symbol is not None:
-            axes = range(-len(self._dims), 0)
-            coeffs = scipy.fft.rfftn(x, axes=axes)
-            coeffs *= self._symbol
-            np.copyto(g, scipy.fft.irfftn(coeffs, s=self._dims, axes=axes))
+            np.copyto(g, half_grid_product(x, self._symbol, self._shape))
             return g
         g.fill(0.0)
         for dst, src, slab, wrap, saved in self._stencil:
@@ -309,14 +306,12 @@ class OperatorSpec:
     the long-range operator, whose step in ``BufferedGenerator``, the
     generator's only implementation, multiplies by it.  The full eigenvalue
     table is built from the (cached) kernel when asked for and not kept.
-    The long-range kernel cuts its real-space Ewald sum at a sphere whose
-    dropped tail is provably below half of ``tol`` (see ``lr_kernel``).
+    The long-range kernel is ``lr_kernel`` at its default tail tolerance.
     """
 
     kind: str
     shape: TorusShape
     alpha: float | None = None
-    tol: float = 1e-10
     _symbol: np.ndarray | None = field(default=None, repr=False, compare=False)
     _inv: np.ndarray | None = field(default=None, repr=False, compare=False)
     _kernel: np.ndarray | None = field(default=None, repr=False, compare=False)
@@ -332,14 +327,14 @@ class OperatorSpec:
         return cls("nn", shape)
 
     @classmethod
-    def long_range(cls, shape: TorusShape, alpha: float, tol: float = 1e-10) -> "OperatorSpec":
-        return cls("lr", shape, alpha=alpha, tol=tol)
+    def long_range(cls, shape: TorusShape, alpha: float) -> "OperatorSpec":
+        return cls("lr", shape, alpha=alpha)
 
     def kernel(self) -> np.ndarray:
         if self.kind != "lr":
             raise ValueError("only the long-range operator has a jump kernel")
         if self._kernel is None:
-            self._kernel = lr_kernel(self.shape, self.alpha, self.tol)
+            self._kernel = lr_kernel(self.shape, self.alpha)
         return self._kernel
 
     def eigenvalues(self) -> np.ndarray:
@@ -375,19 +370,15 @@ class OperatorSpec:
         """Mean-zero h with (-L) h = block - mean(block) over the trailing d axes.
 
         Leading axes index replicates.  Dropping the zero mode absorbs the
-        centering, so raw (uncentered) fields may be passed.  The transform is
-        real to half-complex, on the half grid of ``inverse_symbol``.
+        centering, so raw (uncentered) fields may be passed.
         """
-        axes = tuple(range(block.ndim - self.shape.d, block.ndim))
-        coeffs = scipy.fft.rfftn(block, axes=axes)
-        coeffs *= self.inverse_symbol()
-        return scipy.fft.irfftn(coeffs, s=self.shape.dims, axes=axes)
+        return half_grid_product(block, self.inverse_symbol(), self.shape)
 
 
-def solve_poisson(charge: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9) -> LatticeField:
+def solve_poisson(charge: LatticeField, op: OperatorSpec) -> LatticeField:
     """Mean-zero h with (-L) h = charge, by spectral division.
 
-    The charge must have total mass within ``mass_tol * nsites`` of zero, since
+    The charge must have total mass within 1e-9 * nsites of zero, since
     the generator annihilates constants; otherwise no solution exists and the
     residual mass is reported in the error.  The solve is the one-replicate
     case of ``OperatorSpec.solve``.
@@ -395,7 +386,7 @@ def solve_poisson(charge: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9
     if charge.shape != op.shape:
         raise ValueError("charge shape does not match operator shape")
     total = float(charge.values.sum())
-    if abs(total) > mass_tol * charge.shape.nsites:
+    if abs(total) > 1e-9 * charge.shape.nsites:
         raise ValueError(
             f"charge has residual mass {total:.3e}; the generator annihilates "
             "constants so only mean-zero charges are solvable"
@@ -403,12 +394,12 @@ def solve_poisson(charge: LatticeField, op: OperatorSpec, mass_tol: float = 1e-9
     return LatticeField(charge.shape, op.solve(charge.values[None])[0])
 
 
-def power_law_multiplier(shape: TorusShape, exponent: float, at_zero: float = 1.0) -> np.ndarray:
-    """Frequency map ||w||^exponent on centered frequencies, with a chosen
-    value at the zero frequency (immaterial wherever the zero mode is dropped)."""
+def power_law_multiplier(shape: TorusShape, exponent: float) -> np.ndarray:
+    """Frequency map ||w||^exponent on centered frequencies, and 1 at the zero
+    frequency (immaterial wherever the zero mode is dropped)."""
     w2 = frequency_norm2(shape)
     out = np.empty(shape.dims)
     nz = w2 > 0
     out[nz] = w2[nz] ** (exponent / 2.0)
-    out[~nz] = at_zero
+    out[~nz] = 1.0
     return out

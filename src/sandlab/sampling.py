@@ -22,10 +22,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
 
 from ._util import generator
-from .lattice import LatticeField, TorusShape, _reverse_indices
+from .lattice import LatticeField, TorusShape, _reverse_indices, half_grid_product
 
 _FIELD_STREAM = 0
 _CHUNK_STREAM = 1
@@ -187,10 +186,7 @@ def color(spec: SigmaSpec, shape: TorusShape, x: np.ndarray) -> np.ndarray:
     so symmetric: <F x, k> = <x, F k>.
     """
     amp = np.sqrt(shape.nsites * half_multiplier(spec.khat, shape))
-    axes = tuple(range(x.ndim - shape.d, x.ndim))
-    coeffs = scipy.fft.rfftn(x, axes=axes)
-    coeffs *= amp
-    return scipy.fft.irfftn(coeffs, s=shape.dims, axes=axes)
+    return half_grid_product(x, amp, shape)
 
 
 def _stable_standard(alpha: float, u: np.ndarray) -> np.ndarray:

@@ -8,7 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sandlab import cli, fieldstats, sampling
+from sandlab import cli, fieldstats, growth, sampling
 from sandlab.cli import (
     ManifestError,
     load_manifest,
@@ -250,6 +250,34 @@ def test_run_exit_one_on_runner_exception(tmp_path, monkeypatch, capsys):
     assert err.startswith("error: ") and "box" in err
     assert "Traceback" not in err
     assert not Path("outb").exists()  # nothing is written before the experiment finishes
+
+
+def test_run_exit_one_when_the_obstacle_sweeps_run_out(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    monkeypatch.setattr(growth, "OBSTACLE_SWEEPS", 5)
+    path = write(tmp_path, "o.txt", "kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = ball 0.5 4.0\nout = outo\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: obstacle iteration did not converge in 5 sweeps")
+    assert not Path("outo").exists()
+
+
+@pytest.mark.parametrize("argv", [["run"], ["bogus"], ["run", "m.txt", "--bogus"]],
+                         ids=["no-manifest", "unknown-verb", "unknown-flag"])
+def test_usage_error_exits_one_with_one_error_line(argv, capsys):
+    # Exit 2 is left to a failed criterion.
+    with pytest.raises(SystemExit) as stop:
+        main(argv)
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_help_exits_zero():
+    for argv in (["--help"], ["run", "--help"]):
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        assert stop.value.code == 0
 
 
 def test_run_rejects_growth_values_without_traceback(tmp_path, monkeypatch, capsys):

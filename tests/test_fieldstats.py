@@ -372,7 +372,7 @@ def test_filtered_vector_pairings_equal_filtered_field_pairings(d, n, delta, see
     # Colored noise pairs its raw draws with F k; the reference pairs k with
     # the filtered fields of sigma_chunk, over two chunks, the last one cut.
     shape = TorusShape(d, n)
-    spec = SigmaSpec.correlated_gaussian(power_law_multiplier(shape, -4.0 * delta, at_zero=1.0))
+    spec = SigmaSpec.correlated_gaussian(power_law_multiplier(shape, -4.0 * delta))
     k = np.random.default_rng(seed).standard_normal(shape.nsites)
     samples = CHUNK_REPLICATES + 5
     fields = np.concatenate([sigma_chunk(spec, shape, seed, c) for c in range(2)])[:samples]

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from sandlab import growth
 from sandlab._util import generator
 from sandlab.growth import (
     AggregateSet,
@@ -155,6 +156,12 @@ def test_obstacle_solver_zero_source_empty():
     sol = continuum_obstacle_solve(np.zeros((17, 17)), 2.0 / 16)
     assert sol.occupied.sum() == 0
     assert sol.area() == 0.0
+
+
+def test_obstacle_solver_stops_at_the_sweep_limit(monkeypatch):
+    monkeypatch.setattr(growth, "OBSTACLE_SWEEPS", 5)
+    with pytest.raises(RuntimeError, match="did not converge in 5 sweeps; last residual"):
+        continuum_obstacle_solve(np.pad([[4.0]], 8), 0.125)
 
 
 def test_obstacle_solver_rejects_bad_grid():

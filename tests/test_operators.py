@@ -352,6 +352,10 @@ def test_solve_poisson_rejects_unbalanced_charge():
     op = OperatorSpec.nearest_neighbour(shape)
     with pytest.raises(ValueError):
         solve_poisson(LatticeField(shape, np.ones(4)), op)
+    # The residual mass allowed is 1e-9 per site: half of it solves, twice it raises.
+    solve_poisson(LatticeField(shape, np.array([5e-10 * 4, 0.0, 0.0, 0.0])), op)
+    with pytest.raises(ValueError, match="residual mass 8.000e-09"):
+        solve_poisson(LatticeField(shape, np.array([2e-9 * 4, 0.0, 0.0, 0.0])), op)
 
 
 def test_power_law_multiplier_matches_mode_sum():
