@@ -55,9 +55,9 @@ def eta_covariance_exact(op: OperatorSpec, khat: np.ndarray | None = None) -> La
 
     khat = None means independent unit-variance noise, mode weight 1/nsites.
     A multiplier array means colored noise whose transform carries weight
-    khat(w) per mode, matching the colored sampler's convention; it must pass
-    ``validate_multiplier``.  The table, indexed by the offset x, is one
-    inverse real transform from the half grid.
+    khat(w) per mode, matching the colored sampler's convention; one that
+    ``half_multiplier`` rejects raises ValueError.  The table, indexed by
+    the offset x, is one inverse real transform from the half grid.
     """
     weight = 1.0 / op.shape.nsites if khat is None else half_multiplier(khat, op.shape)
     values = scipy.fft.irfftn(weight * op.inverse_symbol() ** 2, s=op.shape.dims) * op.shape.nsites

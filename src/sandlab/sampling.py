@@ -15,6 +15,11 @@ filter) fill it with ziggurat ``standard_normal`` draws; the others draw the
 uniform planes their explicit inverse transforms read, one or two per site.
 So any replicate can be drawn alone, and a shorter chunk is a prefix of a
 longer one.
+
+Every sampled experiment walks its replicates through `replicate_blocks`:
+one layout (replicate r is position r % CHUNK_REPLICATES of chunk
+r // CHUNK_REPLICATES) in blocks of at most SUB_BATCH_SITES sites, so the
+noise held at a time does not grow with the replicate count.
 """
 
 from __future__ import annotations
@@ -71,56 +76,33 @@ class SigmaSpec:
         return cls("pareto", index=float(index))
 
 
-@dataclass(frozen=True)
-class MultiplierCheck:
-    """Outcome of validating a covariance multiplier."""
-
-    valid: bool
-    reason: str = ""
-    frequency: tuple[int, ...] | None = None
-
-
-def validate_multiplier(khat, shape: TorusShape) -> MultiplierCheck:
-    """Check that a frequency map is a legitimate covariance spectrum.
+def half_multiplier(khat, shape: TorusShape) -> np.ndarray:
+    """khat on the rfftn half grid, once it is a legitimate covariance spectrum.
 
     Required: real entries, strictly positive away from frequency zero, and
-    even under w -> -w.  Violations come back as a structured report with the
-    first offending frequency.
+    even under w -> -w.  A half-grid transform reads only this half, so it
+    would silently symmetrize an uneven multiplier; any violation raises
+    ValueError.
     """
     k = np.asarray(khat)
     if np.iscomplexobj(k):
         if np.max(np.abs(k.imag)) > 1e-12 * max(1.0, np.max(np.abs(k.real))):
-            return MultiplierCheck(False, "multiplier has a nonreal entry")
+            raise _rejected("multiplier has a nonreal entry")
         k = k.real
     k = k.astype(np.float64)
     if k.shape != shape.dims:
-        return MultiplierCheck(False, f"multiplier shape {k.shape} does not match {shape.dims}")
+        raise _rejected(f"multiplier shape {k.shape} does not match {shape.dims}")
     if not np.all(np.isfinite(k)):
-        idx = np.unravel_index(int(np.argmin(np.isfinite(k))), k.shape)
-        return MultiplierCheck(False, "multiplier has a non-finite entry", idx)
-    flat = k.ravel()
-    bad = np.flatnonzero(flat[1:] <= 0)
-    if bad.size:
-        idx = np.unravel_index(int(bad[0]) + 1, k.shape)
-        return MultiplierCheck(False, "multiplier must be positive away from frequency zero", idx)
-    mism = np.abs(_reverse_indices(k) - k)
-    scale = max(1.0, float(np.max(np.abs(k))))
-    if np.max(mism) > 1e-9 * scale:
-        idx = np.unravel_index(int(np.argmax(mism)), k.shape)
-        return MultiplierCheck(False, "multiplier is not even under frequency negation", idx)
-    return MultiplierCheck(True)
+        raise _rejected("multiplier has a non-finite entry")
+    if np.any(k.ravel()[1:] <= 0):
+        raise _rejected("multiplier must be positive away from frequency zero")
+    if np.max(np.abs(_reverse_indices(k) - k)) > 1e-9 * max(1.0, float(np.max(np.abs(k)))):
+        raise _rejected("multiplier is not even under frequency negation")
+    return k[..., : shape.n // 2 + 1]
 
 
-def half_multiplier(khat, shape: TorusShape) -> np.ndarray:
-    """khat on the rfftn half grid, once it passes ``validate_multiplier``.
-
-    A half-grid transform reads only this half, so it would silently
-    symmetrize an uneven multiplier; such a khat raises ValueError.
-    """
-    check = validate_multiplier(khat, shape)
-    if not check.valid:
-        raise ValueError(f"covariance multiplier rejected: {check.reason}")
-    return np.asarray(khat, dtype=np.float64)[..., : shape.n // 2 + 1]
+def _rejected(reason: str) -> ValueError:
+    return ValueError(f"covariance multiplier rejected: {reason}")
 
 
 def _planes_read(spec: SigmaSpec) -> int:
@@ -218,10 +200,10 @@ def sigma_chunk(spec: SigmaSpec, shape: TorusShape, seed: int, chunk_index: int,
                 count: int = CHUNK_REPLICATES, start: int = 0) -> np.ndarray:
     """Replicates start .. start + count - 1 of a chunk, as (count,) + dims.
 
-    Replicate r of an experiment lives at position r % count of chunk
-    r // count, so chunked and monolithic consumers see identical fields,
-    and any run of positions can be drawn on its own: each replicate reads
-    its own substream of the chunk's stream.
+    Replicate r of an experiment lives at position r % CHUNK_REPLICATES of
+    chunk r // CHUNK_REPLICATES, so chunked and monolithic consumers see
+    identical fields, and any run of positions can be drawn on its own:
+    each replicate reads its own substream of the chunk's stream.
     """
     x = _site_block(seed, shape, count, (_CHUNK_STREAM, chunk_index), _planes_read(spec), start)
     return _transform(spec, x, shape)
@@ -231,6 +213,27 @@ def replicate_sigma(spec: SigmaSpec, shape: TorusShape, seed: int, index: int) -
     """Field of a single replicate, consistent with sigma_chunk layout."""
     chunk_index, start = divmod(index, CHUNK_REPLICATES)
     return sigma_chunk(spec, shape, seed, chunk_index, count=1, start=start)[0]
+
+
+# Sites one block of `replicate_blocks` holds, unless a single field is larger.
+SUB_BATCH_SITES = 1 << 20
+
+
+def replicate_blocks(spec: SigmaSpec, shape: TorusShape, seed: int, samples: int):
+    """Replicates 0 .. samples - 1 as (lo, block) pairs in replicate_sigma's layout.
+
+    block is replicates lo .. lo + len(block) - 1, as (count,) + dims.  It
+    stays inside one chunk and holds at most SUB_BATCH_SITES sites, or one
+    replicate when a field is larger, so a consumer that drops each block
+    before taking the next holds a bounded amount of noise.
+    """
+    step = max(1, SUB_BATCH_SITES // shape.nsites)
+    lo = 0
+    while lo < samples:
+        chunk_index, start = divmod(lo, CHUNK_REPLICATES)
+        count = min(step, CHUNK_REPLICATES - start, samples - lo)
+        yield lo, sigma_chunk(spec, shape, seed, chunk_index, count=count, start=start)
+        lo += count
 
 
 def make_initial_config(sigma: LatticeField) -> LatticeField:

@@ -7,11 +7,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from sandlab import TorusShape, LatticeField, OperatorSpec, fieldstats
+from sandlab import TorusShape, LatticeField, OperatorSpec, fieldstats, sampling
 from sandlab import TestFunction as Wave
 from sandlab._util import generator
 from sandlab.fieldstats import (
-    SUB_BATCH_SITES,
     CharfunExperiment,
     CharfunRow,
     ScalingMode,
@@ -34,7 +33,13 @@ from sandlab.fieldstats import (
 )
 from sandlab.operators import power_law_multiplier
 from sandlab.odometer import eta_covariance_exact, eta_field, eta_sample_batch
-from sandlab.sampling import CHUNK_REPLICATES, SigmaSpec, make_initial_config, sigma_chunk
+from sandlab.sampling import (
+    CHUNK_REPLICATES,
+    SUB_BATCH_SITES,
+    SigmaSpec,
+    make_initial_config,
+    sigma_chunk,
+)
 
 
 FOUR_PI2 = 4.0 * math.pi**2
@@ -321,36 +326,36 @@ def reference_normals(seed, shape, count, stream):
 
 
 def whole_chunk_neg_min_eta(op, samples, seed):
-    """-min eta drawn and solved one whole capped chunk at a time."""
+    """-min eta drawn and solved one whole chunk at a time, replicate r at
+    position r % CHUNK_REPLICATES of chunk r // CHUNK_REPLICATES."""
     shape = op.shape
-    per = max(1, min(CHUNK_REPLICATES, 4_000_000 // shape.nsites))
     out = np.empty(samples)
-    for chunk_index, first in enumerate(range(0, samples, per)):
-        count = min(per, samples - first)
+    for chunk_index, first in enumerate(range(0, samples, CHUNK_REPLICATES)):
+        count = min(CHUNK_REPLICATES, samples - first)
         eta = eta_sample_batch(op, reference_normals(seed, shape, count, (1, chunk_index)))
         out[first : first + count] = -eta.reshape(count, -1).min(axis=1)
     return out
 
 
 @pytest.mark.parametrize("kind, d, n, samples, alpha", [
-    ("nn", 3, 64, 20, None),   # chunks of 15 replicates, sub-batches of 4
-    ("nn", 2, 512, 9, None),   # one chunk of 9, sub-batches of 4
-    ("lr", 2, 300, 50, 1.0),   # chunks of 44, sub-batches of 11
+    ("nn", 3, 64, 20, None),   # one chunk of 20 replicates, blocks of 4
+    ("nn", 2, 512, 9, None),   # one chunk of 9, blocks of 4
+    ("lr", 2, 300, 50, 1.0),   # one chunk of 50, blocks of 11
 ])
 def test_sub_batched_mean_odometer_equals_whole_chunks(kind, d, n, samples, alpha):
     op = OperatorSpec(kind, TorusShape(d, n), alpha=alpha)
-    assert SUB_BATCH_SITES // op.shape.nsites < min(samples, 4_000_000 // op.shape.nsites)
+    assert SUB_BATCH_SITES // op.shape.nsites < samples
     want = whole_chunk_neg_min_eta(op, samples, 3)
     assert np.array_equal(fieldstats._neg_min_eta_samples(op, samples, 3), want)
 
 
 @pytest.mark.parametrize("sub_batch_sites, samples", [(64, 300), (200, 259), (10_000, 513)])
 def test_sub_batch_boundaries_never_move_a_replicate(monkeypatch, sub_batch_sites, samples):
-    # Tiny sub-batches at d = 2 n = 8: one replicate, three, or a whole chunk
+    # Tiny blocks at d = 2 n = 8: one replicate, three, or a whole chunk
     # at a time, with runs that end inside and just past a chunk.
     op = OperatorSpec.nearest_neighbour(TorusShape(2, 8))
     want = whole_chunk_neg_min_eta(op, samples, 5)
-    monkeypatch.setattr(fieldstats, "SUB_BATCH_SITES", sub_batch_sites)
+    monkeypatch.setattr(sampling, "SUB_BATCH_SITES", sub_batch_sites)
     assert np.array_equal(fieldstats._neg_min_eta_samples(op, samples, 5), want)
 
 
@@ -383,7 +388,7 @@ def test_filtered_vector_pairings_equal_filtered_field_pairings(d, n, delta, see
 
 def test_mean_odometer_memory_is_a_few_sub_batches():
     # At d = 3 n = 64 a chunk holds 8 replicates here; drawing and solving it
-    # whole traced 51.5 MiB, one sub-batch at a time traces about 27 MiB.
+    # whole traced 51.5 MiB, one block of 4 at a time traces about 27 MiB.
     tracemalloc.start()
     try:
         mean_odometer_curve("nn", 3, [32, 64], 8, seed=0)
@@ -391,3 +396,24 @@ def test_mean_odometer_memory_is_a_few_sub_batches():
     finally:
         tracemalloc.stop()
     assert peak <= 4 * SUB_BATCH_SITES * 8
+
+
+def test_pairing_memory_is_bounded_by_the_block_not_the_chunk(monkeypatch):
+    # With 4096-site blocks a 64 x 64 run holds one replicate of noise at a
+    # time: about 0.3 MiB traced, where whole 256-replicate chunks traced
+    # 9.4 MiB (variance) and 24 MiB (charfun).  quad_points = 16 keeps the
+    # continuum integral's grid, which holds no noise, out of the bound.
+    monkeypatch.setattr(sampling, "SUB_BATCH_SITES", 4096)
+    f = Wave.cosine((1, 0))
+    runs = [
+        lambda: run_variance_experiment(ScalingMode("nn-ind"), (f,), (32, 64), 300),
+        lambda: run_charfun_experiment(1.0, (f,), TorusShape(2, 64), 300, quad_points=16),
+    ]
+    for run in runs:
+        tracemalloc.start()
+        try:
+            run()
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20

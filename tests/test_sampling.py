@@ -1,5 +1,7 @@
 """Noise families: moments, covariance targets, tails, and determinism."""
 
+from unittest import mock
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -9,11 +11,11 @@ from sandlab._util import generator
 from sandlab.sampling import (
     CHUNK_REPLICATES,
     SigmaSpec,
+    half_multiplier,
     make_initial_config,
     replicate_sigma,
     sample_sigma,
     sigma_chunk,
-    validate_multiplier,
 )
 
 
@@ -135,24 +137,17 @@ def test_pareto_survival_and_symmetry():
     assert abs(frac_neg - 0.5) < 5 * 0.5 / np.sqrt(n)
 
 
-def test_validate_multiplier_reports():
+def test_half_multiplier_rejects_bad_spectra():
     shape = TorusShape(1, 4)
-    ok = validate_multiplier(np.ones(4), shape)
-    assert ok.valid
-
-    neg = validate_multiplier(np.array([1.0, -1.0, 1.0, 1.0]), shape)
-    assert not neg.valid
-    assert "positive" in neg.reason
-
-    uneven = validate_multiplier(np.array([1.0, 2.0, 1.0, 1.5]), shape)
-    assert not uneven.valid
-    assert "even" in uneven.reason
-
-    bad_shape = validate_multiplier(np.ones(5), shape)
-    assert not bad_shape.valid
-
-    nonreal = validate_multiplier(np.array([1.0, 1.0 + 1.0j, 1.0, 1.0 - 1.0j]), shape)
-    assert not nonreal.valid
+    assert np.array_equal(half_multiplier(np.ones(4), shape), np.ones(3))
+    for khat, reason in [
+        (np.array([1.0, -1.0, 1.0, 1.0]), "must be positive away from frequency zero"),
+        (np.array([1.0, 2.0, 1.0, 1.5]), "is not even under frequency negation"),
+        (np.ones(5), "shape"),
+        (np.array([1.0, 1.0 + 1.0j, 1.0, 1.0 - 1.0j]), "has a nonreal entry"),
+    ]:
+        with pytest.raises(ValueError, match=f"^covariance multiplier rejected: multiplier {reason}"):
+            half_multiplier(khat, shape)
 
 
 def test_correlated_sampler_rejects_bad_multiplier():
@@ -282,6 +277,28 @@ def test_skipping_draw_equals_the_two_plane_draw(shape, regime, index, before, a
     # Only the planes a regime reads are drawn, yet every variate equals the
     # one the full two-plane draw of the replicate's substream gives.
     check_replicate(shape, regime, index, before, after, 2)
+
+
+@settings(max_examples=60, deadline=None)
+@given(shape=st.sampled_from(SHAPES), regime=st.sampled_from(sorted(REGIMES)),
+       samples=st.integers(1, 2 * CHUNK_REPLICATES + 3), sub_batch_sites=st.integers(1, 300),
+       seed=st.integers(0, 2**32 - 1))
+@example(shape=TorusShape(1, 8), regime="stable", samples=CHUNK_REPLICATES + 2,
+         sub_batch_sites=24, seed=0)
+def test_replicate_blocks_walk_the_one_layout(shape, regime, samples, sub_batch_sites, seed):
+    # However SUB_BATCH_SITES cuts them, the blocks are replicates
+    # 0 .. samples - 1 in order, each inside one chunk and within the bound.
+    spec = REGIMES[regime](shape)
+    with mock.patch.object(sampling, "SUB_BATCH_SITES", sub_batch_sites):
+        blocks = list(sampling.replicate_blocks(spec, shape, seed, samples))
+    assert [lo for lo, _ in blocks] == list(np.cumsum([0] + [len(b) for _, b in blocks[:-1]]))
+    for lo, block in blocks:
+        assert len(block) == 1 or len(block) * shape.nsites <= sub_batch_sites
+        assert lo // CHUNK_REPLICATES == (lo + len(block) - 1) // CHUNK_REPLICATES
+    fields = np.concatenate([block for _, block in blocks])
+    assert len(fields) == samples
+    for r, field in enumerate(fields):
+        assert np.array_equal(field, replicate_sigma(spec, shape, seed, r))
 
 
 @pytest.mark.parametrize("regime, planes", PLANES.items())
