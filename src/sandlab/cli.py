@@ -529,14 +529,13 @@ def _run_variance(p, workers):
              _F,
              _SAMPLES,
              Key("t", "floats", default=(0.5, 1.0, 2.0), bound="len >= 1, each > 0"),
-             Key("quad_points", "int", default=256, bound=">= 1"),
              Key("tol_magnitude", "float", default=0.15),
              Key("tol_doubling", "float", default=0.10))
 def _run_charfun(p, workers):
     shape = TorusShape(p["d"], p["n"])
     f = parse_test_function(p["f"], p["d"])
     base, doubled = run_charfun_experiment(p["alpha"], (f, f.scaled(2.0)), shape, p["samples"],
-                                           p["seed"], ts=p["t"], quad_points=p["quad_points"])
+                                           p["seed"], ts=p["t"])
     rows = []
     for r, r2 in zip(base.rows, doubled.rows):
         rows.append([r.t, r.cf_abs, r.stderr, r.measured_exponent, r.exact_exponent,

@@ -298,7 +298,7 @@ class CharfunRow:
 class CharfunExperiment:
     alpha: float
     exact_scale: float        # finite-size sum |a_n k|^alpha
-    continuum_integral: float  # grid integral of |G_f|^alpha
+    continuum_integral: float  # exact integral of |G_f|^alpha
     calibration: float         # (2d)^alpha from the generator normalization
     rows: tuple[CharfunRow, ...]
 
@@ -326,20 +326,20 @@ class CharfunExperiment:
         return float(np.sum(w * x * y) / np.sum(w * x * x))
 
 
-def charfun_continuum_integral(f: TestFunction, alpha: float, quad_points: int = 256) -> float:
-    """Midpoint-grid integral of |sum_z fhat(z) ||z||^-2 e^{-2 pi i z.x}|^alpha."""
-    d = f.d
-    axes = [(np.arange(quad_points) + 0.5) / quad_points] * d
-    mesh = np.meshgrid(*axes, indexing="ij")
-    g = np.zeros_like(mesh[0], dtype=np.complex128)
-    for z in f.support_frequencies():
-        coeff = f.fourier_coefficient(z)
-        if coeff == 0:
-            continue
-        norm2 = float(sum(v * v for v in z))
-        phase = sum(zi * m for zi, m in zip(z, mesh))
-        g += coeff / norm2 * np.exp(-2j * np.pi * phase)
-    return float(np.mean(np.abs(g) ** alpha))
+def charfun_continuum_integral(f: TestFunction, alpha: float) -> float:
+    """Exact torus integral of |G_f|^alpha, G_f = sum_z fhat(z) ||z||^-2 e^{-2 pi i z.x}.
+
+    f must have its nonzero coefficients at one pair +-k.  Then
+    G_f = c cos(2 pi k.x + phi) with c = 2 |fhat(k)| / ||k||^2, and the
+    integral is c^alpha Gamma((alpha + 1)/2) / (sqrt(pi) Gamma(alpha/2 + 1))
+    in every dimension.
+    """
+    pairs = {max(z, tuple(-v for v in z)) for z in f.support_frequencies() if f.fourier_coefficient(z) != 0}
+    if len(pairs) != 1:
+        raise ValueError(f"charfun target needs a single-frequency test function, got {len(pairs)} pairs")
+    (k,) = pairs
+    c = 2.0 * abs(f.fourier_coefficient(k)) / sum(v * v for v in k)
+    return c**alpha * math.gamma((alpha + 1) / 2) / (math.sqrt(math.pi) * math.gamma(alpha / 2 + 1))
 
 
 def run_charfun_experiment(
@@ -349,28 +349,29 @@ def run_charfun_experiment(
     samples: int,
     seed: int = 0,
     ts=(0.5, 1.0, 2.0),
-    quad_points: int = 256,
     scale: float = 1.0,
 ) -> tuple[CharfunExperiment, ...]:
     """Empirical characteristic function of the rescaled stable pairing.
 
     For exactly stable noise the pairing is itself stable, so the finite-size
     characteristic exponent is the exact sum |a_n k(x)|^alpha and the limit
-    target is the continuum integral times the generator calibration.  Every
-    test function in fs pairs with the same noise samples; one experiment
-    comes back per function.
+    target is the closed-form continuum integral times the generator
+    calibration.  Every f in fs (single-frequency) pairs with the same noise
+    samples; one experiment comes back per function.
     """
     mode = ScalingMode("stable", alpha=alpha)
     op = OperatorSpec.nearest_neighbour(shape)
     a = scaling_constant(mode, shape)
     ks = [pairing_vector(op, f).ravel() for f in fs]
-    pairings = _pairing_samples(SigmaSpec.stable(alpha, scale), shape, seed, samples, ks)
+    with np.errstate(all="ignore"):  # a pairing that leaves float range is refused below
+        pairings = [xs * a for xs in _pairing_samples(SigmaSpec.stable(alpha, scale), shape, seed, samples, ks)]
     calibration = (2.0 * shape.d) ** alpha * scale**alpha
     experiments = []
     for f, k, xs in zip(fs, ks, pairings):
-        xs = xs * a
+        if not (a > 0 and np.isfinite(xs).all()):
+            raise ValueError(f"stable alpha = {alpha:g} at n = {shape.n} leaves float range (a_n = {a:g})")
         exact_scale = float(np.sum(np.abs(k * a) ** alpha)) * scale**alpha
-        cont = charfun_continuum_integral(f, alpha, quad_points)
+        cont = charfun_continuum_integral(f, alpha)
         rows = []
         for t in ts:
             z = np.exp(1j * t * xs)

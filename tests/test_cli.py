@@ -96,7 +96,7 @@ NEWLY_REJECTED = [
     ("kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1 0\nsamples = 10\nt = 1, 0\n",
      "key 't': expected each t > 0"),
     ("kind = charfun\nd = 2\nn = 8\nalpha = 1.0\nf = cos 1 0\nsamples = 10\nquad_points = 0\n",
-     "key 'quad_points': expected quad_points >= 1"),
+     "unknown keys for kind 'charfun': quad_points"),
     ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0 0\nsamples = 10\n",
      r"'cos 1 0 0' needs an amplitude of magnitude in \[1e-100, 1e100\]"),
     ("kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nf2 = sin 1 1 0\nsamples = 10\n", "'sin 1 1 0'"),

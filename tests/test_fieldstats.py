@@ -189,9 +189,63 @@ def test_fitted_scale_raises_below_noise_floor():
 def test_continuum_integral_closed_forms():
     f = Wave.cosine((1, 0))
     # mean of cos^2 over the period is exactly one half
-    assert charfun_continuum_integral(f, 2.0) == pytest.approx(0.5, abs=1e-12)
-    # mean of |cos| is 2/pi; midpoint quadrature converges fast
-    assert charfun_continuum_integral(f, 1.0) == pytest.approx(2.0 / math.pi, abs=1e-4)
+    assert charfun_continuum_integral(f, 2.0) == pytest.approx(0.5, rel=1e-15)
+    # mean of |cos| is 2/pi
+    assert charfun_continuum_integral(f, 1.0) == pytest.approx(2.0 / math.pi, rel=1e-15)
+
+
+@settings(max_examples=60, deadline=None)
+@given(k=st.integers(1, 3).flatmap(lambda d: st.lists(st.integers(-3, 3), min_size=d, max_size=d)
+                                   .filter(any)),
+       sine=st.booleans(),
+       amplitude=st.floats(0.01, 100.0) | st.floats(-100.0, -0.01),
+       alpha=st.floats(0.05, 2.0, exclude_max=True))
+def test_continuum_integral_is_the_mean_of_one_cosine_power(k, sine, amplitude, alpha):
+    # G_f = (A / ||k||^2) cos(2 pi k.x + phi) takes the values of one cosine
+    # in every dimension, so the integral is a one-dimensional mean.
+    f = (Wave.sine if sine else Wave.cosine)(k, amplitude)
+    c = abs(amplitude) / sum(v * v for v in k)
+    u = (np.arange(1 << 16) + 0.5) / (1 << 16)
+    want = float(np.mean(np.abs(c * np.cos(2 * np.pi * u)) ** alpha))
+    assert charfun_continuum_integral(f, alpha) == pytest.approx(want, rel=1e-4)
+    # the doubled experiment's target is 2^alpha times the base, up to rounding
+    doubled = charfun_continuum_integral(f.scaled(2.0), alpha) / charfun_continuum_integral(f, alpha)
+    assert doubled == pytest.approx(2.0**alpha, rel=1e-14)
+
+
+def _mesh_continuum_integral(f, alpha, points):
+    """Oracle: |G_f|^alpha averaged over a midpoint mesh of points^d points."""
+    mesh = np.meshgrid(*[(np.arange(points) + 0.5) / points] * f.d, indexing="ij")
+    g = np.zeros_like(mesh[0], dtype=np.complex128)
+    for z in f.support_frequencies():
+        phase = sum(zi * m for zi, m in zip(z, mesh))
+        g += f.fourier_coefficient(z) / float(sum(v * v for v in z)) * np.exp(-2j * np.pi * phase)
+    return float(np.mean(np.abs(g) ** alpha))
+
+
+@pytest.mark.parametrize("f, alpha", [(Wave.cosine((1, 0)), 1.0), (Wave.sine((2, 1), 0.5), 0.5),
+                                      (Wave.cosine((1, -2), -2.0), 1.7), (Wave.sine((0, 3), 3.0), 0.25)])
+def test_continuum_integral_matches_the_mesh_at_d2(f, alpha):
+    assert charfun_continuum_integral(f, alpha) == pytest.approx(_mesh_continuum_integral(f, alpha, 256), rel=1e-3)
+
+
+def test_continuum_integral_refuses_two_frequency_pairs():
+    with pytest.raises(ValueError, match="single-frequency"):
+        charfun_continuum_integral(Wave.cosine((1, 0)).plus(Wave.sine((0, 1))), 1.0)
+
+
+@pytest.mark.parametrize("alpha", [1e-300, 0.005])
+def test_charfun_refuses_an_alpha_beyond_float_range(alpha):
+    # a_n underflows to 0 at 1e-300; at 0.005 the stable draws overflow to inf
+    with pytest.raises(ValueError, match=rf"alpha = {alpha:g} at n = 8"):
+        run_charfun_experiment(alpha, (Wave.cosine((1,)),), TorusShape(1, 8), 50)
+
+
+def test_charfun_refuses_a_scaling_constant_of_zero(monkeypatch):
+    # At alpha = 1e-300 the draws are not finite either; here they are.
+    monkeypatch.setattr(fieldstats, "scaling_constant", lambda mode, shape: 0.0)
+    with pytest.raises(ValueError, match=r"leaves float range \(a_n = 0\)"):
+        run_charfun_experiment(1.0, (Wave.cosine((1,)),), TorusShape(1, 8), 50)
 
 
 def test_structure_prediction_forms():
@@ -401,13 +455,12 @@ def test_mean_odometer_memory_is_a_few_sub_batches():
 def test_pairing_memory_is_bounded_by_the_block_not_the_chunk(monkeypatch):
     # With 4096-site blocks a 64 x 64 run holds one replicate of noise at a
     # time: about 0.3 MiB traced, where whole 256-replicate chunks traced
-    # 9.4 MiB (variance) and 24 MiB (charfun).  quad_points = 16 keeps the
-    # continuum integral's grid, which holds no noise, out of the bound.
+    # 9.4 MiB (variance) and 24 MiB (charfun).
     monkeypatch.setattr(sampling, "SUB_BATCH_SITES", 4096)
     f = Wave.cosine((1, 0))
     runs = [
         lambda: run_variance_experiment(ScalingMode("nn-ind"), (f,), (32, 64), 300),
-        lambda: run_charfun_experiment(1.0, (f,), TorusShape(2, 64), 300, quad_points=16),
+        lambda: run_charfun_experiment(1.0, (f,), TorusShape(2, 64), 300),
     ]
     for run in runs:
         tracemalloc.start()
