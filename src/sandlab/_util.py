@@ -1,45 +1,19 @@
-"""Shared helpers: deterministic RNG streams, ordered parallel map, fits,
-per-axis sums."""
+"""Shared helpers: deterministic RNG streams, fits, per-axis sums."""
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
-
 import numpy as np
-
-THREADS_ENV = "SANDLAB_THREADS"
 
 
 def generator(seed: int, *stream: int) -> np.random.Generator:
     """Counter-based generator keyed by a seed and a stream path.
 
     The same (seed, stream) always produces the same draws, independent of
-    construction order or thread count, so replicate streams can be derived
-    without coordination.
+    construction order, so replicate streams can be derived without
+    coordination.
     """
     key = np.random.SeedSequence([int(seed), *(int(s) for s in stream)])
     return np.random.Generator(np.random.Philox(key))
-
-
-def thread_count() -> int:
-    env = os.environ.get(THREADS_ENV)
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            pass
-    return 1
-
-
-def parallel_map(fn, items, workers: int = 1) -> list:
-    """Map preserving input order; results are identical for any worker count
-    as long as fn is a pure function of its item."""
-    items = list(items)
-    if workers <= 1 or len(items) <= 1:
-        return [fn(x) for x in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 def loglog_slope(x, y) -> float:

@@ -12,8 +12,7 @@ experiment.  Every exit 1 prints one line on standard error, ``invalid: ...``
 from ``validate`` and ``error: ...`` from ``run``, ``heatmap``, ``info`` and
 a usage error, and never a traceback.
 
-Every output byte is determined by the manifest content and the seed; thread
-count never changes results, only wall time.
+Every output byte is determined by the manifest content and the seed.
 """
 
 from __future__ import annotations
@@ -29,7 +28,7 @@ from pathlib import Path
 
 import numpy as np
 
-from ._util import axis_sum, parallel_map, thread_count
+from ._util import axis_sum
 from .fieldio import (
     format_cell,
     format_float,
@@ -436,7 +435,7 @@ def _field_setup(p):
 
 
 @_experiment("topple", *_FIELD_KEYS)
-def _run_topple(p, workers):
+def _run_topple(p):
     op, config = _field_setup(p)
     mass_before = float(config.values.sum())
     final, report = stabilize(SandpileState.initial(op, config))
@@ -465,7 +464,7 @@ def _run_topple(p, workers):
 
 
 @_experiment("odometer", *_FIELD_KEYS)
-def _run_odometer(p, workers):
+def _run_odometer(p):
     op, config = _field_setup(p)
     u_direct, u_obstacle = odometer_routes(config, op)
     gap = float(np.max(np.abs(u_direct.values - u_obstacle.values)))
@@ -505,10 +504,9 @@ def _variance_table(exp):
              _SAMPLES,
              Key("tol_flatness", "float", default=0.15),
              Key("tol_agreement", "float", default=0.10))
-def _run_variance(p, workers):
+def _run_variance(p):
     fs = [parse_test_function(p[name], p["d"]) for name in ("f", "f2") if p[name]]
-    exps = run_variance_experiment(_variance_mode(p), fs, p["n"], p["samples"], p["seed"],
-                                   workers=workers)
+    exps = run_variance_experiment(_variance_mode(p), fs, p["n"], p["samples"], p["seed"])
     exp = exps[0]
     artifacts = {"variance.csv": _variance_table(exp)}
     flat = exp.ratio_flatness()
@@ -531,7 +529,7 @@ def _run_variance(p, workers):
              Key("t", "floats", default=(0.5, 1.0, 2.0), bound="len >= 1, each > 0"),
              Key("tol_magnitude", "float", default=0.15),
              Key("tol_doubling", "float", default=0.10))
-def _run_charfun(p, workers):
+def _run_charfun(p):
     shape = TorusShape(p["d"], p["n"])
     f = parse_test_function(p["f"], p["d"])
     base, doubled = run_charfun_experiment(p["alpha"], (f, f.scaled(2.0)), shape, p["samples"],
@@ -571,10 +569,10 @@ def _run_charfun(p, workers):
              _NS,
              _SAMPLES,
              Key("slope_tol", "float"))
-def _run_mean_odometer(p, workers):
+def _run_mean_odometer(p):
     kind = p["operator"]
     curve = mean_odometer_curve(kind, p["d"], p["n"], p["samples"], p["seed"],
-                                alpha=p["alpha"], workers=workers)
+                                alpha=p["alpha"])
     rows = [[r.n, r.value.point, r.value.stderr, pred]
             for r, pred in zip(curve.rows, curve.predicted_values)]
     artifacts = {"mean_odometer.csv": (["n", "estimate", "stderr", "prediction"], rows)}
@@ -597,7 +595,7 @@ def _run_mean_odometer(p, workers):
              _N,
              _R,
              Key("tol", "float", default=0.2))
-def _run_variance_structure(p, workers):
+def _run_variance_structure(p):
     curve = variance_structure_curve(p["operator"], p["d"], p["n"], p["r"], alpha=p["alpha"])
     rows = [[r, v] for r, v in zip(curve.rs, curve.values)]
     artifacts = {"variance_structure.csv": (["r", "increment_variance"], rows)}
@@ -613,7 +611,7 @@ def _run_variance_structure(p, workers):
              _N,
              _R,
              Key("tol", "float", default=0.3))
-def _run_kernel_decay(p, workers):
+def _run_kernel_decay(p):
     result = covariance_decay_slope(p["operator"], p["d"], p["n"], p["r"], alpha=p["alpha"])
     # below the critical dimension result.values is empty, and so is the table
     rows = [[r, v] for r, v in zip(p["r"], result.values)]
@@ -637,21 +635,16 @@ def _run_kernel_decay(p, workers):
              Key("tol_deviation", "float", default=0.15),
              Key("tol_radius", "float", default=0.05),
              _HEATMAP)
-def _run_idla(p, workers):
+def _run_idla(p):
     predicted = predicted_radius(p["particles"], p["d"])
-
-    def one(i):
-        agg = idla_aggregate(p["particles"], p["d"], seed=p["seed"] + i, box_radius=p["box"])
-        return shape_metrics(agg, predicted), agg
-
-    results = parallel_map(one, range(p["trials"]), workers)
-    rows = []
-    for i, (m, _) in enumerate(results):
-        rows.append([p["seed"] + i, m.volume, m.inradius, m.outradius, m.ball_deviation])
+    seeds = range(p["seed"], p["seed"] + p["trials"])
+    aggs = [idla_aggregate(p["particles"], p["d"], seed=s, box_radius=p["box"]) for s in seeds]
+    metrics = [shape_metrics(agg, predicted) for agg in aggs]
+    rows = [[s, m.volume, m.inradius, m.outradius, m.ball_deviation] for s, m in zip(seeds, metrics)]
     artifacts = {"idla.csv": (["seed", "volume", "inradius", "outradius", "deviation"], rows)}
     if p["heatmap"]:
-        artifacts["idla.pgm"] = results[0][1].occupied
-    return _growth_criteria(p, [m for m, _ in results], predicted, mean="mean "), artifacts
+        artifacts["idla.pgm"] = aggs[0].occupied
+    return _growth_criteria(p, metrics, predicted, mean="mean "), artifacts
 
 
 @_experiment("rotor",
@@ -660,7 +653,7 @@ def _run_idla(p, workers):
              _BOX,
              Key("tol_deviation", "float", default=0.05),
              _HEATMAP)
-def _run_rotor(p, workers):
+def _run_rotor(p):
     predicted = predicted_radius(p["particles"], p["d"])
     agg = rotor_router_aggregate(p["particles"], p["d"], box_radius=p["box"])
     m = shape_metrics(agg, predicted)
@@ -683,7 +676,7 @@ def _run_rotor(p, workers):
              Key("tol_deviation", "float", default=0.10),
              Key("tol_radius", "float", default=0.05),
              _HEATMAP)
-def _run_point_source(p, workers):
+def _run_point_source(p):
     predicted = predicted_radius(p["mass"], p["d"])
     result = point_source_sandpile(p["mass"], p["d"], box_radius=p["box"], tol=p["tau"])
     toppled = result.aggregate.count > 0
@@ -722,7 +715,7 @@ def _parse_obstacle_source(text: str):
              Key("box", "float", required=True, bound="> 0"),
              Key("source", "str", required=True),
              Key("tol_area", "float", default=0.15))
-def _run_obstacle_shape(p, workers):
+def _run_obstacle_shape(p):
     source_spec = _parse_obstacle_source(p["source"])
     h = p["h"]
     d = p["d"]
@@ -761,7 +754,7 @@ def _run_obstacle_shape(p, workers):
              Key("density", "float", required=True),
              Key("trials", "int", default=50, bound=">= 1"),
              Key("expect", "str", default="auto", choices=("auto", "stabilize", "explode", "none")))
-def _run_density_probe(p, workers):
+def _run_density_probe(p):
     shape = TorusShape(p["d"], p["n"])
     result = density_probe(p["density"], shape, trials=p["trials"], seed=p["seed"])
     artifacts = {"density_probe.csv": (
@@ -781,13 +774,20 @@ KINDS = tuple(_EXPERIMENTS)
 
 
 def run(manifest: Manifest, outdir=None, workers: int = 1) -> RunRecord:
-    """Execute a validated manifest, then write its artifacts and summary."""
+    """Execute a validated manifest, then write its artifacts and summary.
+
+    Every experiment runs serially.  ``workers`` is kept only because callers
+    written for the former thread pool pass ``workers=1`` (the benchmark's
+    ``perfbench/worker.py`` does); any other value raises ``ValueError``.
+    """
+    if workers != 1:
+        raise ValueError("sandlab runs serially; workers must be 1")
     params = validate_manifest(manifest)
     out = Path(outdir if outdir is not None else params["out"])
     sha = manifest_hash(manifest)
     started = time.monotonic()
     _, runner = _EXPERIMENTS[manifest.kind]
-    criteria, artifacts = runner(params, workers)
+    criteria, artifacts = runner(params)
     _write_outputs(out, sha, criteria, artifacts)
     wall = time.monotonic() - started
     return RunRecord(sha, VERSION, wall, tuple(artifacts) + ("summary.txt",), tuple(criteria))
@@ -797,8 +797,7 @@ def run(manifest: Manifest, outdir=None, workers: int = 1) -> RunRecord:
 
 def _run_verb(args):
     manifest = load_manifest(args.manifest)
-    workers = 1 if args.single_thread else thread_count()
-    record = run(manifest, outdir=args.out, workers=workers)
+    record = run(manifest, outdir=args.out)
     lines = [c.line() for c in record.criteria]
     lines.append(f"manifest-sha256 = {record.manifest_sha}")
     lines.append(f"wall-seconds = {record.wall_seconds:.3f}")
@@ -860,8 +859,6 @@ def main(argv=None) -> int:
             verb_parser.add_argument(name)
     p_run = sub.choices["run"]
     p_run.add_argument("--out", default=None, help="override the manifest's output directory")
-    p_run.add_argument("--single-thread", action="store_true",
-                       help="force serial execution (bit-reproducibility audits)")
 
     args = parser.parse_args(argv)
     handler, prefix, _, _ = _VERBS[args.verb]

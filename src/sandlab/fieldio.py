@@ -3,7 +3,7 @@
 The snapshot format is deliberately tiny: magic "DSF1", two little-endian
 u32 words for the dimension and the side length, then the n^d float64 values
 in C order.  Everything written here is byte-deterministic so runs can be
-diffed across machines and thread counts.
+diffed across machines and processes.
 """
 
 from __future__ import annotations

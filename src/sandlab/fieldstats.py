@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._util import axis_sum, loglog_slope, parallel_map
+from ._util import axis_sum, loglog_slope
 from .lattice import (
     LatticeField,
     TorusShape,
@@ -206,7 +206,6 @@ def run_variance_experiment(
     ns,
     samples: int,
     seed: int = 0,
-    workers: int = 1,
 ) -> tuple[VarianceExperiment, ...]:
     """Estimate Var(a_n <Xi_n, f>) across sizes against the limit prediction.
 
@@ -214,15 +213,14 @@ def run_variance_experiment(
     largest size only.  All of them pair with the same noise samples, and
     each (size, chunk) is drawn once; one experiment comes back per
     function.  The ratio column should flatten in n; its level is the
-    calibration constant of the mode, not one.  Sizes run independently
-    (optionally in parallel); results do not depend on the worker count.
+    calibration constant of the mode, not one.
     """
     if isinstance(fs, TestFunction):
         raise TypeError("fs must be a sequence of test functions; pass one as (f,)")
     limits = [limit_variance(f, *_limit_law(mode)) for f in fs]
     top = max(ns)
-
-    def one_size(n: int) -> list[VarianceRow]:
+    by_size = []
+    for n in ns:
         shape = TorusShape(fs[0].d, int(n))
         op, spec = _mode_lattice(mode, shape)
         a = scaling_constant(mode, shape)
@@ -236,9 +234,7 @@ def run_variance_experiment(
             rows.append(VarianceRow(
                 int(n), EstimateWithCI(var, se, samples), exact, var / limit, exact / limit
             ))
-        return rows
-
-    by_size = parallel_map(one_size, ns, workers)
+        by_size.append(rows)
     return tuple(
         VarianceExperiment(mode, limit, tuple(rows[i] for rows in by_size if i < len(rows)))
         for i, limit in enumerate(limits)
@@ -446,23 +442,20 @@ def mean_odometer_curve(
     samples: int,
     seed: int = 0,
     alpha: float | None = None,
-    workers: int = 1,
 ) -> GrowthCurve:
     """Monte Carlo E[u(0)] = E[-min eta] across sizes, with the fitted slope.
 
     Gaussian noise throughout, in the one replicate layout of
     `replicate_blocks`; eta is solved spectrally one bounded block at a
-    time and the minimum taken over sites.  Sizes run independently; the
-    worker count never changes the numbers.
+    time and the minimum taken over sites.
     """
-    def one_size(n: int) -> CurveRow:
+    rows = []
+    for n in ns:
         op = OperatorSpec(kind, TorusShape(d, int(n)), alpha=alpha)
         stats = _neg_min_eta_samples(op, samples, seed)
         mean = float(stats.mean())
         se = float(stats.std(ddof=1) / math.sqrt(samples))
-        return CurveRow(int(n), EstimateWithCI(mean, se, samples))
-
-    rows = parallel_map(one_size, ns, workers)
+        rows.append(CurveRow(int(n), EstimateWithCI(mean, se, samples)))
     slope = loglog_slope([r.n for r in rows], [r.value.point for r in rows])
     predicted = mean_odometer_exponent(kind, d, alpha)
     pred_vals = tuple(mean_odometer_prediction(kind, d, r.n, alpha) for r in rows)

@@ -7,7 +7,7 @@ Gaussians, symmetric alpha-stable, symmetrized Pareto, and centered uniforms.
 
 Draws are keyed per (seed, stream, replicate) in counter-based Philox
 streams, so two calls with the same seed are bit-identical no matter how the
-surrounding code is threaded or chunked.
+surrounding code is chunked.
 
 Replicate r of a stream reads its own Philox substream, at counter offset
 r << 64.  Gaussian regimes (independent, and correlated before its spectral
@@ -191,9 +191,19 @@ def _stable_standard(alpha: float, u: np.ndarray) -> np.ndarray:
 
 
 def sample_sigma(spec: SigmaSpec, shape: TorusShape, seed: int) -> LatticeField:
-    """One noise field; bit-identical for equal (spec, shape, seed)."""
+    """One noise field; bit-identical for equal (spec, shape, seed).
+
+    A draw that overflows (a heavy tail at a tiny stable alpha or Pareto
+    index) raises ValueError naming the regime, its parameter and n.
+    """
     x = _site_block(seed, shape, 1, (_FIELD_STREAM,), _planes_read(spec))
-    return LatticeField(shape, _transform(spec, x, shape)[0])
+    with np.errstate(all="ignore"):  # a non-finite draw is refused below
+        values = _transform(spec, x, shape)[0]
+    if not np.all(np.isfinite(values)):
+        name = {"stable": "alpha", "pareto": "index"}.get(spec.regime)
+        label = spec.regime if name is None else f"{spec.regime} {name} = {getattr(spec, name):g}"
+        raise ValueError(f"{label} at n = {shape.n} leaves float range")
+    return LatticeField(shape, values)
 
 
 def sigma_chunk(spec: SigmaSpec, shape: TorusShape, seed: int, chunk_index: int,
@@ -246,6 +256,6 @@ def make_initial_config(sigma: LatticeField) -> LatticeField:
     heights = 1.0 + v - v.mean()
     mass, nsites = float(heights.sum()), sigma.shape.nsites
     if not abs(mass - nsites) <= 1e-9 * nsites:
-        raise ValueError(f"initial heights sum to {mass:.6g}, not the site count {nsites}: "
+        raise ValueError(f"initial heights sum to {mass!r}, not the site count {nsites}: "
                          "the noise is too heavy-tailed to center in double precision")
     return LatticeField(sigma.shape, heights)

@@ -7,6 +7,8 @@ runtime budgets on one core.
 """
 
 import os
+import subprocess
+import sys
 import time
 from pathlib import Path
 
@@ -334,9 +336,11 @@ def test_criterion_14_density_dichotomy():
     report(14, "50/50 trials stabilize at density 0.5, 0/50 at density 1.5")
 
 
-def test_criterion_15_worker_count_does_not_change_output_bytes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    base = (
+def test_criterion_15_output_bytes_depend_only_on_manifest_and_seed(tmp_path):
+    # Two fresh interpreters with different string-hash seeds: nothing that
+    # varies from process to process may reach an output byte.
+    manifest = tmp_path / "m.txt"
+    manifest.write_text(
         "kind = variance\n"
         "d = 2\n"
         "n = 8, 16\n"
@@ -344,20 +348,22 @@ def test_criterion_15_worker_count_does_not_change_output_bytes(tmp_path, monkey
         "samples = 200\n"
         "seed = 5\n"
     )
-    Path("m1.txt").write_text(base + "out = out1\n")
-    Path("m4.txt").write_text(base + "out = out4\n")
-    monkeypatch.setenv("SANDLAB_THREADS", "1")
-    assert cli_main(["run", "m1.txt"]) == 0
-    monkeypatch.setenv("SANDLAB_THREADS", "4")
-    assert cli_main(["run", "m4.txt"]) == 0
-    names = sorted(os.listdir("out1"))
-    assert names == sorted(os.listdir("out4"))
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    outs = []
+    for hash_seed in ("0", "1"):
+        out = tmp_path / f"out{hash_seed}"
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run([sys.executable, "-m", "sandlab", "run", str(manifest), "--out", str(out)],
+                              env=env, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
+        outs.append(out)
+    names = sorted(os.listdir(outs[0]))
+    assert names == sorted(os.listdir(outs[1]))
     for name in names:
+        a, b = (Path(out, name).read_bytes() for out in outs)
         if name == "summary.txt":
-            # first line hashes the manifest, whose out= keys differ
-            a = Path("out1", name).read_text().splitlines()[1:]
-            b = Path("out4", name).read_text().splitlines()[1:]
-            assert a == b
-        else:
-            assert Path("out1", name).read_bytes() == Path("out4", name).read_bytes()
-    report(15, f"{len(names)} output files byte-identical across worker counts")
+            # line 1 hashes the manifest; compare the rest
+            a, b = a.split(b"\n", 1)[1], b.split(b"\n", 1)[1]
+        assert a == b
+    report(15, f"{len(names)} output files byte-identical across two processes (PYTHONHASHSEED 0, 1)")

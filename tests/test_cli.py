@@ -273,6 +273,38 @@ def test_usage_error_exits_one_with_one_error_line(argv, capsys):
     assert err.startswith("error: ") and err.count("\n") == 1
 
 
+def test_removed_thread_flag_is_a_usage_error(tmp_path, monkeypatch, capsys):
+    # Runs are serial; the flag that used to force it is refused, and nothing runs.
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "m.txt", TOPPLE + "out = outs\n")
+    with pytest.raises(SystemExit) as stop:
+        main(["run", path, "--single-thread"])
+    assert stop.value.code == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert not Path("outs").exists()
+
+
+def test_run_refuses_more_than_one_worker(tmp_path):
+    with pytest.raises(ValueError, match="^sandlab runs serially; workers must be 1$"):
+        cli.run(parse_manifest(TOPPLE), tmp_path / "out", workers=2)
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("manifest, message", [
+    ("kind = topple\nd = 2\nn = 8\nsigma = stable\nstable_alpha = 0.005\n",
+     "error: stable alpha = 0.005 at n = 8 leaves float range\n"),
+    ("kind = odometer\nd = 2\nn = 8\nsigma = pareto\npareto_index = 0.001\n",
+     "error: pareto index = 0.001 at n = 8 leaves float range\n"),
+], ids=["stable", "pareto"])
+def test_overflowing_heavy_tails_print_one_error_line(tmp_path, monkeypatch, capsys, manifest, message):
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "h.txt", manifest + "out = outh\n")
+    assert main(["run", path]) == 1
+    assert capsys.readouterr().err == message
+    assert not Path("outh").exists()
+
+
 def test_help_exits_zero():
     for argv in (["--help"], ["run", "--help"]):
         with pytest.raises(SystemExit) as stop:
@@ -568,24 +600,6 @@ def test_rerun_is_byte_identical(tmp_path, monkeypatch):
         if name == "summary.txt":
             continue
         assert (Path("outr1") / name).read_bytes() == (Path("outr2") / name).read_bytes()
-
-
-def test_worker_count_never_changes_bytes(tmp_path, monkeypatch):
-    monkeypatch.chdir(tmp_path)
-    base = "kind = mean-odometer\nn = 8, 16\nd = 1\nsamples = 40\nseed = 3\n"
-    p1 = write(tmp_path, "w1.txt", base + "out = outw1\n")
-    p4 = write(tmp_path, "w4.txt", base + "out = outw4\n")
-    monkeypatch.setenv("SANDLAB_THREADS", "1")
-    assert main(["run", p1]) == 0
-    monkeypatch.setenv("SANDLAB_THREADS", "4")
-    assert main(["run", p4]) == 0
-    for name in os.listdir("outw1"):
-        if name == "summary.txt":
-            continue
-        assert (Path("outw1") / name).read_bytes() == (Path("outw4") / name).read_bytes()
-    s1 = Path("outw1/summary.txt").read_text().splitlines()[1:]
-    s4 = Path("outw4/summary.txt").read_text().splitlines()[1:]
-    assert s1 == s4
 
 
 def test_readme_key_table_equals_the_schema():

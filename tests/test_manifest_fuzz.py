@@ -158,7 +158,7 @@ def check_manifest(text):
         err = io.StringIO()
         with redirect_stdout(io.StringIO()), redirect_stderr(err):
             checked = main(["validate", str(path)])
-            ran = main(["run", str(path), "--single-thread", "--out", str(out)])
+            ran = main(["run", str(path), "--out", str(out)])
         assert checked in (0, 1) and ran in (0, 1, 2)
         assert checked == 0 or ran == 1
         if ran == 1:

@@ -1,5 +1,7 @@
 """Noise families: moments, covariance targets, tails, and determinism."""
 
+import re
+import warnings
 from unittest import mock
 
 import numpy as np
@@ -51,6 +53,28 @@ def test_make_initial_config_mass_is_site_count():
     s = make_initial_config(sigma)
     assert abs(s.values.sum() - shape.nsites) < 1e-9 * shape.nsites
     assert abs(s.values.mean() - 1.0) < 1e-12
+
+
+@pytest.mark.parametrize("spec, message", [
+    (SigmaSpec.stable(0.005), "^stable alpha = 0.005 at n = 8 leaves float range$"),
+    (SigmaSpec.stable(1e-300), "^stable alpha = 1e-300 at n = 8 leaves float range$"),
+    (SigmaSpec.pareto(0.001), "^pareto index = 0.001 at n = 8 leaves float range$"),
+], ids=["stable", "stable-divide", "pareto"])
+def test_sample_sigma_refuses_draws_beyond_float_range_without_warnings(spec, message):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=message):
+            sample_sigma(spec, TorusShape(2, 8), 0)
+
+
+def test_centring_error_prints_the_exact_mass():
+    # The mass is 63.99999952316284: formatted to six digits it read "64",
+    # the site count it was said to differ from.
+    sigma = sample_sigma(SigmaSpec.pareto(0.3), TorusShape(2, 8), 0)
+    with pytest.raises(ValueError, match="too heavy-tailed") as refused:
+        make_initial_config(sigma)
+    printed = re.match(r"initial heights sum to (\S+), not the site count 64:", str(refused.value))
+    assert printed and float(printed[1]) != 64
 
 
 def naive_covariance_from_multiplier(khat: np.ndarray) -> np.ndarray:
