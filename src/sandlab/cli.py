@@ -20,6 +20,7 @@ from __future__ import annotations
 import argparse
 import hashlib
 import math
+import os
 import re
 import sys
 import time
@@ -864,11 +865,18 @@ def main(argv=None) -> int:
     handler, prefix, _, _ = _VERBS[args.verb]
     try:
         lines, code = handler(args)
+        for line in lines:
+            print(line)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout.  Point it at devnull so that the flush at
+        # interpreter exit cannot fail a second time.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: standard output closed", file=sys.stderr)
+        return 1
     except (OSError, ValueError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"{prefix}: {exc}", file=sys.stderr)
         return 1
-    for line in lines:
-        print(line)
     return code
 
 

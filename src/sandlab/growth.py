@@ -8,8 +8,16 @@ run certifies that the finite box did not distort the shape.
 
 The continuum predictor solves the obstacle problem for the scaled sandpile:
 gamma is minus the squared norm plus a Dirichlet potential of the source, the
-value function is the least superharmonic majorant computed by monotone
-relaxation, and the non-coincidence set {v > gamma} is the predicted shape.
+value function is the least superharmonic majorant of gamma, and the
+non-coincidence set {v > gamma} is the predicted shape.
+
+The point-source odometer and the obstacle value function both solve a
+linear complementarity problem for the box Laplacian (the least action
+principle).  At d <= 2 one primal-dual active-set loop solves either exactly
+in a few iterations, each a block-tridiagonal solve over the axis-0 rows in
+numpy.  At d = 3 the rows are planes and that solve loses to relaxation at
+desk sizes, so the point source relaxes by parallel toppling and the
+obstacle by projected Jacobi sweeps.
 """
 
 from __future__ import annotations
@@ -204,6 +212,111 @@ def rotor_router_aggregate(
     return AggregateSet(d, radius, grid.astype(bool))
 
 
+def _box_laplacian(w: np.ndarray) -> np.ndarray:
+    """Neighbour average minus identity on the box, reading 0 outside it."""
+    share = 1.0 / (2 * w.ndim)
+    out = -w
+    for axis in range(w.ndim):
+        lo = (slice(None),) * axis + (slice(None, -1),)
+        hi = (slice(None),) * axis + (slice(1, None),)
+        out[hi] += share * w[lo]
+        out[lo] += share * w[hi]
+    return out
+
+
+def _free_set_solve(free: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+    """w with (identity - neighbour average) w = rhs on the free sites and w = 0 elsewhere.
+
+    The free sites lie inside the box's outer ring.  Numbered row by row
+    along axis 0, they form a block-tridiagonal system: row i couples only to
+    rows i - 1 and i + 1, through the sites whose axis-0 neighbour is free.
+    Block elimination runs down the rows with one dense solve per row, for
+    the row's own unknowns and for the unit vectors of the sites coupled to
+    the next row, and back substitution runs up them.  The coupling blocks
+    are gathered by index, so no matrix is larger than one row's unknowns
+    squared (a single site at d = 1).
+    """
+    share = 1.0 / (2 * free.ndim)
+    flat, rhs = free.ravel(), rhs.ravel()
+    row_len = flat.size // free.shape[0]
+    sites = np.flatnonzero(flat)
+    number = np.full(flat.size, -1)
+    number[sites] = np.arange(sites.size)
+    bounds = np.searchsorted(sites // row_len, np.arange(free.shape[0] + 1))
+
+    def coupled(step):
+        """Pairs (a, b) of unknown numbers with site(b) = site(a) + step, both free."""
+        a = sites[flat[sites + step]]
+        return number[a], number[a + step]
+
+    within = [coupled(row_len // free.shape[0] ** k) for k in range(1, free.ndim)]
+    down_a, down_b = coupled(row_len)
+    # per row, with S its Schur complement: its first unknown, the columns of
+    # S^-1 at the sites coupled to the next row, S^-1 y, the next row's coupled sites
+    rows = []
+    carry = None
+    for i in np.flatnonzero(np.diff(bounds)):
+        lo, hi = bounds[i], bounds[i + 1]
+        s = np.eye(hi - lo)
+        for a, b in within:
+            k = slice(*np.searchsorted(a, (lo, hi)))
+            s[a[k] - lo, b[k] - lo] = s[b[k] - lo, a[k] - lo] = -share
+        y = rhs[sites[lo:hi]]
+        if carry is not None:
+            q, block, add = carry
+            s[np.ix_(q, q)] -= block
+            y[q] += add
+        k = slice(*np.searchsorted(down_a, (lo, hi)))
+        p, q = down_a[k] - lo, down_b[k] - hi
+        unit = np.zeros((hi - lo, p.size + 1))
+        unit[p, np.arange(p.size)] = 1.0
+        unit[:, -1] = y
+        x = np.linalg.solve(s, unit)
+        coupling, g = x[:, :-1], x[:, -1]
+        rows.append((lo, coupling, g, q))
+        carry = (q, share * share * coupling[p], share * g[p]) if p.size else None
+    out = np.zeros(flat.size)
+    below = None
+    for lo, coupling, g, q in reversed(rows):
+        below = g + share * (coupling @ below[q]) if q.size else g
+        out[sites[lo : lo + below.size]] = below
+    return out.reshape(free.shape)
+
+
+def _active_set_solve(b: np.ndarray, free: np.ndarray, limit: int):
+    """Least w >= 0, 0 on the outer ring, with L w <= b: primal-dual active sets.
+
+    L is the neighbour average minus identity.  Each iteration solves
+    L w = b on the free set with w = 0 elsewhere and computes the slack
+    b - L w; a free site stays free while w > 0 there and an active site
+    frees when its slack is negative.  Testing only the relevant sign on
+    each set keeps rounding noise on the other from flipping sites.  For an
+    M-matrix the free sets settle in finitely many iterations; a free set
+    that recurs (a cycle, which only rounding can cause) or an iteration
+    count past limit raises.  Returns w, L w and the iteration count.
+    """
+    interior = ~_outer_ring(free.shape[0], free.ndim).reshape(free.shape)
+    free = free & interior
+    seen = set()
+    for it in range(1, limit + 1):
+        w = _free_set_solve(free, -b)
+        lap = _box_laplacian(w)
+        new = np.where(free, w > 0.0, b - lap < 0.0) & interior
+        if np.array_equal(new, free):
+            return w, lap, it
+        seen.add(free.tobytes())
+        if new.tobytes() in seen:
+            raise RuntimeError(f"active-set iteration cycled after {it} iterations")
+        free = new
+    raise RuntimeError(f"active-set iteration did not settle in {limit} iterations")
+
+
+def _ball_guess(side: int, d: int, volume: float) -> np.ndarray:
+    """Sites of the centred cube within the ball of the given volume: the free set to start from."""
+    axis = (np.arange(side) - (side - 1) // 2).astype(np.float64)
+    return axis_sum(axis**2, d) <= predicted_radius(max(volume, 0.0), d) ** 2
+
+
 @dataclass(frozen=True)
 class PointSourceResult:
     aggregate: AggregateSet
@@ -250,14 +363,23 @@ def point_source_sandpile(
     tol: float = 1e-6,
     step_limit: int = 2_000_000,
 ) -> PointSourceResult:
-    """Divisible sandpile from a point mass, relaxed by parallel toppling.
+    """Divisible sandpile from a point mass.
 
-    Each step every site with height above one sheds its excess equally to
-    its 2d neighbours.  The relaxation runs on a growing window around the
-    origin (excess spreads at most one cell per step, so a quiet window edge
-    certifies that nothing outside it has ever toppled) until the largest
-    excess falls to tol.  Mass is conserved to the last bit: window-edge sites
-    are never allowed to emit, they just trigger window growth.
+    The odometer u is the least u >= 0, zero on the box edge, whose final
+    heights s = s0 + L u stay at most one (the least action principle).  At
+    d <= 2 the active-set iteration solves that problem exactly, starting
+    from the ball of volume mass; steps counts its iterations, at most
+    step_limit.  Heights are exactly one where u > 0, so they never exceed
+    one, and an edge height above 1 + tol raises BoundaryTouchError.
+
+    At d = 3, where that solve loses, the pile relaxes by parallel toppling
+    and steps counts toppling steps.  Each step every site with height above
+    one sheds its excess equally to its 2d neighbours.  The relaxation runs
+    on a growing window around the origin (excess spreads at most one cell
+    per step, so a quiet window edge certifies that nothing outside it has
+    ever toppled) until the largest excess falls to tol.  Mass is conserved
+    to the last bit: window-edge sites are never allowed to emit, they just
+    trigger window growth.
 
     The steps run on flat contiguous copies of the window, rebuilt only when
     it grows; every site receives its neighbours' shares in the fixed order
@@ -269,8 +391,18 @@ def point_source_sandpile(
     radius = default_box_radius(max(mass, 1.0), d) if box_radius is None else int(box_radius)
     side = 2 * radius + 1
     s = np.zeros((side,) * d)
-    u = np.zeros_like(s)
     s[(radius,) * d] = mass
+    if d <= 2:
+        u, lap, steps = _active_set_solve(1.0 - s, _ball_guess(side, d, mass), step_limit)
+        toppled = u > 0.0
+        s += lap
+        s[toppled] = 1.0
+        if float(s.ravel().take(np.flatnonzero(_outer_ring(side, d))).max()) - 1.0 > tol:
+            raise BoundaryTouchError(
+                f"excess reached the box edge; increase the box radius beyond {radius}"
+            )
+        return PointSourceResult(AggregateSet(d, radius, toppled), s, u, steps)
+    u = np.zeros_like(s)
     share = 1.0 / (2 * d)
     window = 1
     w = _Window(s, u, radius, window)
@@ -418,7 +550,8 @@ def _symmetrize_like_source(field: np.ndarray, symmetries: tuple) -> np.ndarray:
     return np.mean([field] + [_apply_symmetry(field, *g) for g in symmetries], axis=0)
 
 
-OBSTACLE_SWEEPS = 400_000
+# Cap on the Jacobi sweeps at d = 3 and on the active-set iterations at d <= 2.
+OBSTACLE_ITERATIONS = 400_000
 
 
 def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
@@ -426,14 +559,23 @@ def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
 
     The obstacle is gamma(x) = -|x|^2 plus a zero-boundary potential with
     (normalized discrete) Laplacian h^2 * source, so that the grid analogue of
-    the continuum relation holds exactly for the quadratic part.  v starts at
-    the constant max(gamma), stays clamped to gamma on the box edge, and
-    relaxes by v <- max(gamma, neighbour average); the iteration is monotone
-    nonincreasing and bounded below by gamma.  Each sweep runs on flat
-    contiguous buffers with the same per-site summation order as a sweep over
-    the grid's shifted interior views, so it matches that sweep bit for bit.
-    The non-coincidence set uses a threshold ten times the stopping tolerance
-    to separate rounding noise from genuine contact.
+    the continuum relation holds exactly for the quadratic part.  v is the
+    least superharmonic function on the box interior that is at least gamma
+    and equals gamma on the box edge.
+
+    At d <= 2 the active-set iteration finds w = v - gamma exactly, starting
+    from the ball whose volume is the source's mass; ``iterations`` counts
+    its iterations and ``residual`` is the largest |L v| on the sites where
+    v > gamma, the rounding left by the row solve.  At d = 3 v starts at
+    the constant max(gamma) and relaxes by v <- max(gamma, neighbour
+    average), monotone nonincreasing and bounded below by gamma, until a
+    sweep moves it by less than the stopping tolerance; ``iterations``
+    counts sweeps and ``residual`` is the last sweep's largest change.  Each
+    sweep runs on flat contiguous buffers with the same per-site summation
+    order as a sweep over the grid's shifted interior views, so it matches
+    that sweep bit for bit.  The non-coincidence set uses a threshold ten
+    times the stopping tolerance to separate rounding noise from genuine
+    contact.
     """
     source = np.asarray(source, dtype=np.float64)
     d = source.ndim
@@ -451,6 +593,24 @@ def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
     gamma = -(h * h) * norm2 + _symmetrize_like_source(potential, symmetries)
 
     stop = 1e-10 * float(np.max(np.abs(gamma)))
+    if d <= 2:
+        free = _ball_guess(side, d, float(source.sum()))
+        b = -_box_laplacian(gamma)
+        w, lap, iterations = _active_set_solve(b, free, OBSTACLE_ITERATIONS)
+        v = gamma + w
+        residual = float(np.abs(b - lap)[w > 0.0].max(initial=0.0))
+    else:
+        v, iterations, residual = _obstacle_sweeps(gamma, stop)
+    occupied = v > gamma + 10.0 * stop
+    return ObstacleSolution(float(h), gamma, v, occupied, iterations, residual, symmetries)
+
+
+def _obstacle_sweeps(gamma: np.ndarray, stop: float):
+    """Projected Jacobi from the constant max(gamma) until a sweep moves v by less than stop.
+
+    Returns v, the sweep count and the last sweep's largest change.
+    """
+    d, side = gamma.ndim, gamma.shape[0]
     v = np.full_like(gamma, float(gamma.max()))
     ring = np.flatnonzero(_outer_ring(side, d))
     v.put(ring, gamma.take(ring))
@@ -474,7 +634,7 @@ def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
     avg = np.empty_like(gamma_span)
     pair = np.empty_like(gamma_span)
     residual = math.inf
-    for it in range(1, OBSTACLE_SWEEPS + 1):
+    for it in range(1, OBSTACLE_ITERATIONS + 1):
         (_, old, shifted), (buf, new, _) = sweeps[(it - 1) % 2], sweeps[it % 2]
         # The neighbour sum stays grouped by axis, (lo_0 + hi_0) + (lo_1 + hi_1) + ...
         np.add(*shifted[0], out=avg)
@@ -487,9 +647,7 @@ def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
         np.subtract(old, new, out=avg)  # avg is free again: reuse it
         residual = float(avg.max())
         if residual < stop:
-            v = buf.reshape(gamma.shape)
-            occupied = v > gamma + 10.0 * stop
-            return ObstacleSolution(float(h), gamma, v, occupied, it, residual, symmetries)
+            return buf.reshape(gamma.shape), it, residual
     raise RuntimeError(
-        f"obstacle iteration did not converge in {OBSTACLE_SWEEPS} sweeps; last residual {residual:.3e}"
+        f"obstacle iteration did not converge in {OBSTACLE_ITERATIONS} sweeps; last residual {residual:.3e}"
     )

@@ -3,6 +3,8 @@
 import filecmp
 import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -253,13 +255,40 @@ def test_run_exit_one_on_runner_exception(tmp_path, monkeypatch, capsys):
 
 
 def test_run_exit_one_when_the_obstacle_sweeps_run_out(tmp_path, monkeypatch, capsys):
+    # Jacobi sweeps run at d = 3 only.
     monkeypatch.chdir(tmp_path)
-    monkeypatch.setattr(growth, "OBSTACLE_SWEEPS", 5)
-    path = write(tmp_path, "o.txt", "kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 1.0\nsource = ball 0.5 4.0\nout = outo\n")
+    monkeypatch.setattr(growth, "OBSTACLE_ITERATIONS", 5)
+    path = write(tmp_path, "o.txt", "kind = obstacle-shape\nd = 3\nh = 0.25\nbox = 1.0\nsource = ball 0.5 4.0\nout = outo\n")
     assert main(["run", path]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: obstacle iteration did not converge in 5 sweeps")
     assert not Path("outo").exists()
+
+
+def test_point_source_at_tau_zero_settles(tmp_path, monkeypatch, capsys):
+    # Parallel toppling never brought the excess to exactly 0; the exact solve
+    # leaves heights of exactly 1 on the toppled sites.  The toppled interval
+    # {-4..4} of mass 10 has radius 4 against the predicted 5, hence tol_radius.
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "p.txt", "kind = point-source\nmass = 10\nd = 1\ntau = 0\ntol_radius = 0.25\nout = outp\n")
+    assert main(["run", path]) == 0
+    assert capsys.readouterr().err == ""
+    assert Path("outp/point_source.csv").read_text().splitlines() == [
+        "volume,inradius,outradius,deviation,steps", "9,4.0,4.0,0.0,2"]
+
+
+def test_closed_stdout_exits_one_without_traceback(tmp_path):
+    manifest = write(tmp_path, "t.txt", TOPPLE)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        done = subprocess.run([sys.executable, "-m", "sandlab", "validate", manifest], stdout=write_end,
+                              stderr=subprocess.PIPE, text=True, timeout=60,
+                              env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    finally:
+        os.close(write_end)
+    assert done.returncode == 1
+    assert done.stderr == "error: standard output closed\n"
 
 
 @pytest.mark.parametrize("argv", [["run"], ["bogus"], ["run", "m.txt", "--bogus"]],
