@@ -11,13 +11,14 @@ gamma is minus the squared norm plus a Dirichlet potential of the source, the
 value function is the least superharmonic majorant of gamma, and the
 non-coincidence set {v > gamma} is the predicted shape.
 
-The point-source odometer and the obstacle value function both solve a
-linear complementarity problem for the box Laplacian (the least action
-principle).  At d <= 2 one primal-dual active-set loop solves either exactly
-in a few iterations, each a block-tridiagonal solve over the axis-0 rows in
-numpy.  At d = 3 the rows are planes and that solve loses to relaxation at
-desk sizes, so the point source relaxes by parallel toppling and the
-obstacle by projected Jacobi sweeps.
+Both problems are the same one.  gamma's Laplacian is h^2 (source - 1), so
+(v - gamma) / h^2 is the divisible-sandpile odometer started from heights
+source: the least u >= 0, zero on the box edge, with source + L u <= 1 (the
+least action principle).  One engine per dimension finds that odometer for
+both.  At d <= 2 a primal-dual active-set loop solves it exactly in a few
+iterations, each a block-tridiagonal solve over the axis-0 rows in numpy.
+At d = 3 the rows are planes and that solve loses to relaxation at desk
+sizes, so the pile relaxes by parallel toppling.
 """
 
 from __future__ import annotations
@@ -356,6 +357,74 @@ class _Window:
         u[self.sl] = self.u.reshape(u[self.sl].shape)
 
 
+def _box_odometer(s0: np.ndarray, tol: float, limit: int):
+    """Least u >= 0, zero on the box's outer ring, with heights s0 + L u <= 1.
+
+    L is the neighbour average minus identity, reading 0 outside the box.
+    Returns u, the final heights and the step count.
+
+    At d <= 2 the active-set iteration solves the problem exactly, starting
+    from the ball of volume s0.sum(); steps counts its iterations, at most
+    limit, and heights are exactly one where u > 0.
+
+    At d = 3 the pile relaxes by parallel toppling and steps counts toppling
+    steps, at most limit.  Each step every site with height above one sheds
+    its excess equally to its 2d neighbours, until the largest excess falls
+    to tol.  The relaxation runs on a growing window around the origin that
+    starts one cell beyond the farthest site with height above one (excess
+    spreads at most one cell per step, so a quiet window edge certifies that
+    nothing outside it has ever toppled).  Mass is conserved to the last bit:
+    window-edge sites are never allowed to emit, they just trigger window
+    growth.  The steps run on flat contiguous copies of the window, rebuilt
+    only when it grows; every site receives its neighbours' shares in the
+    fixed order axis 0 up, axis 0 down, axis 1 up, ..., so the result is
+    reproducible to the bit (see _Window).
+
+    Either way a final height above 1 + tol on the outer ring means the pile
+    reached the box edge and raises BoundaryTouchError.
+    """
+    d, side = s0.ndim, s0.shape[0]
+    radius = side // 2
+    if d <= 2:
+        u, lap, steps = _active_set_solve(1.0 - s0, _ball_guess(side, d, float(s0.sum())), limit)
+        s = s0 + lap
+        s[u > 0.0] = 1.0
+    else:
+        s, u = s0.copy(), np.zeros_like(s0)
+        share = 1.0 / (2 * d)
+        window = int(np.abs(np.argwhere(s0 > 1.0) - radius).max(initial=0)) + 1
+        w = _Window(s, u, radius, window)
+        steps = 0
+        while True:
+            excess = w.excess
+            np.subtract(w.s, 1.0, out=excess)
+            np.maximum(excess, 0.0, out=excess)
+            if float(excess.max()) <= tol:
+                break
+            if float(excess.take(w.ring).max()) > tol:
+                if window >= radius:
+                    break  # the window is the box: the edge check raises
+                w.store(s, u)
+                window += 1
+                w = _Window(s, u, radius, window)
+                continue
+            excess.put(w.ring, 0.0)
+            w.s -= excess
+            np.multiply(excess, share, out=w.shed)
+            for dst, src in w.stencil:
+                dst += src
+            w.u += excess
+            steps += 1
+            if steps > limit:
+                raise RuntimeError(
+                    f"parallel toppling did not settle in {limit} steps; max excess {excess.max():.3e}"
+                )
+        w.store(s, u)
+    if float(s.ravel().take(np.flatnonzero(_outer_ring(side, d))).max()) - 1.0 > tol:
+        raise BoundaryTouchError(f"excess reached the box edge; increase the box radius beyond {radius}")
+    return u, s, steps
+
+
 def point_source_sandpile(
     mass: float,
     d: int,
@@ -366,74 +435,18 @@ def point_source_sandpile(
     """Divisible sandpile from a point mass.
 
     The odometer u is the least u >= 0, zero on the box edge, whose final
-    heights s = s0 + L u stay at most one (the least action principle).  At
-    d <= 2 the active-set iteration solves that problem exactly, starting
-    from the ball of volume mass; steps counts its iterations, at most
-    step_limit.  Heights are exactly one where u > 0, so they never exceed
-    one, and an edge height above 1 + tol raises BoundaryTouchError.
-
-    At d = 3, where that solve loses, the pile relaxes by parallel toppling
-    and steps counts toppling steps.  Each step every site with height above
-    one sheds its excess equally to its 2d neighbours.  The relaxation runs
-    on a growing window around the origin (excess spreads at most one cell
-    per step, so a quiet window edge certifies that nothing outside it has
-    ever toppled) until the largest excess falls to tol.  Mass is conserved
-    to the last bit: window-edge sites are never allowed to emit, they just
-    trigger window growth.
-
-    The steps run on flat contiguous copies of the window, rebuilt only when
-    it grows; every site receives its neighbours' shares in the fixed order
-    axis 0 up, axis 0 down, axis 1 up, ..., so the result is reproducible to
-    the bit (see _Window).
+    heights s = s0 + L u stay at most one (the least action principle), for
+    s0 the mass at the origin.  _box_odometer finds it: exactly by active
+    sets at d <= 2, by parallel toppling until every excess is at most tol
+    at d = 3.  steps counts active-set iterations or toppling steps, at most
+    step_limit.  An edge height above 1 + tol raises BoundaryTouchError.
     """
     if mass < 0:
         raise ValueError("mass must be nonnegative")
     radius = default_box_radius(max(mass, 1.0), d) if box_radius is None else int(box_radius)
-    side = 2 * radius + 1
-    s = np.zeros((side,) * d)
-    s[(radius,) * d] = mass
-    if d <= 2:
-        u, lap, steps = _active_set_solve(1.0 - s, _ball_guess(side, d, mass), step_limit)
-        toppled = u > 0.0
-        s += lap
-        s[toppled] = 1.0
-        if float(s.ravel().take(np.flatnonzero(_outer_ring(side, d))).max()) - 1.0 > tol:
-            raise BoundaryTouchError(
-                f"excess reached the box edge; increase the box radius beyond {radius}"
-            )
-        return PointSourceResult(AggregateSet(d, radius, toppled), s, u, steps)
-    u = np.zeros_like(s)
-    share = 1.0 / (2 * d)
-    window = 1
-    w = _Window(s, u, radius, window)
-    steps = 0
-    while True:
-        excess = w.excess
-        np.subtract(w.s, 1.0, out=excess)
-        np.maximum(excess, 0.0, out=excess)
-        if float(excess.max()) <= tol:
-            break
-        if float(excess.take(w.ring).max()) > tol:
-            if window >= radius:
-                raise BoundaryTouchError(
-                    f"excess reached the box edge; increase the box radius beyond {radius}"
-                )
-            w.store(s, u)
-            window += 1
-            w = _Window(s, u, radius, window)
-            continue
-        excess.put(w.ring, 0.0)
-        w.s -= excess
-        np.multiply(excess, share, out=w.shed)
-        for dst, src in w.stencil:
-            dst += src
-        w.u += excess
-        steps += 1
-        if steps > step_limit:
-            raise RuntimeError(
-                f"parallel toppling did not settle in {step_limit} steps; max excess {excess.max():.3e}"
-            )
-    w.store(s, u)
+    s0 = np.zeros((2 * radius + 1,) * d)
+    s0[(radius,) * d] = mass
+    u, s, steps = _box_odometer(s0, tol, step_limit)
     return PointSourceResult(AggregateSet(d, radius, u > 0.0), s, u, steps)
 
 
@@ -537,20 +550,7 @@ def _source_symmetries(source: np.ndarray) -> tuple:
     return tuple(found)
 
 
-def _symmetrize_like_source(field: np.ndarray, symmetries: tuple) -> np.ndarray:
-    """Average the field over the lattice symmetries that fix the source.
-
-    The averaged entries differ from the raw solve only by rounding noise,
-    and the output then commutes bit for bit with those symmetries, which the
-    monotone iteration preserves because its neighbour sums are grouped by
-    axis and floating addition commutes.
-    """
-    if not symmetries:
-        return field
-    return np.mean([field] + [_apply_symmetry(field, *g) for g in symmetries], axis=0)
-
-
-# Cap on the Jacobi sweeps at d = 3 and on the active-set iterations at d <= 2.
+# Cap on the active-set iterations at d <= 2 and on the toppling steps at d = 3.
 OBSTACLE_ITERATIONS = 400_000
 
 
@@ -563,19 +563,16 @@ def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
     least superharmonic function on the box interior that is at least gamma
     and equals gamma on the box edge.
 
-    At d <= 2 the active-set iteration finds w = v - gamma exactly, starting
-    from the ball whose volume is the source's mass; ``iterations`` counts
-    its iterations and ``residual`` is the largest |L v| on the sites where
-    v > gamma, the rounding left by the row solve.  At d = 3 v starts at
-    the constant max(gamma) and relaxes by v <- max(gamma, neighbour
-    average), monotone nonincreasing and bounded below by gamma, until a
-    sweep moves it by less than the stopping tolerance; ``iterations``
-    counts sweeps and ``residual`` is the last sweep's largest change.  Each
-    sweep runs on flat contiguous buffers with the same per-site summation
-    order as a sweep over the grid's shifted interior views, so it matches
-    that sweep bit for bit.  The non-coincidence set uses a threshold ten
-    times the stopping tolerance to separate rounding noise from genuine
-    contact.
+    Since L gamma = h^2 (source - 1) inside the box, v = gamma + h^2 u for u
+    the sandpile odometer of the heights source, which _box_odometer finds:
+    exactly by active sets at d <= 2, by parallel toppling at d = 3 until
+    every excess is at most stop / h^2, stop being 1e-10 max|gamma|.
+    ``iterations`` counts active-set iterations or toppling steps, and
+    ``residual`` is h^2 max |source + L u - 1| over the sites where u > 0:
+    the solve's rounding at d <= 2, at most stop at d = 3.  The
+    non-coincidence set uses a threshold ten times stop to separate rounding
+    noise from genuine contact.  A shape that reaches the box edge raises
+    BoundaryTouchError.
     """
     source = np.asarray(source, dtype=np.float64)
     d = source.ndim
@@ -587,67 +584,15 @@ def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
         raise ValueError("source support must sit strictly inside the box")
     radius = (side - 1) // 2
     axis = (np.arange(side) - radius).astype(np.float64)
-    norm2 = axis_sum(axis**2, d)
-    symmetries = _source_symmetries(source)
-    potential = _dirichlet_poisson(h * h * source)
-    gamma = -(h * h) * norm2 + _symmetrize_like_source(potential, symmetries)
-
+    gamma = -(h * h) * axis_sum(axis**2, d) + _dirichlet_poisson(h * h * source)
     stop = 1e-10 * float(np.max(np.abs(gamma)))
-    if d <= 2:
-        free = _ball_guess(side, d, float(source.sum()))
-        b = -_box_laplacian(gamma)
-        w, lap, iterations = _active_set_solve(b, free, OBSTACLE_ITERATIONS)
-        v = gamma + w
-        residual = float(np.abs(b - lap)[w > 0.0].max(initial=0.0))
-    else:
-        v, iterations, residual = _obstacle_sweeps(gamma, stop)
+    try:
+        u, _, iterations = _box_odometer(source, stop / (h * h), OBSTACLE_ITERATIONS)
+    except BoundaryTouchError:
+        raise BoundaryTouchError(
+            f"the shape reached the box edge; increase the box beyond {radius * h:g}"
+        ) from None
+    v = gamma + (h * h) * u
+    residual = (h * h) * float(np.abs(source + _box_laplacian(u) - 1.0)[u > 0.0].max(initial=0.0))
     occupied = v > gamma + 10.0 * stop
-    return ObstacleSolution(float(h), gamma, v, occupied, iterations, residual, symmetries)
-
-
-def _obstacle_sweeps(gamma: np.ndarray, stop: float):
-    """Projected Jacobi from the constant max(gamma) until a sweep moves v by less than stop.
-
-    Returns v, the sweep count and the last sweep's largest change.
-    """
-    d, side = gamma.ndim, gamma.shape[0]
-    v = np.full_like(gamma, float(gamma.max()))
-    ring = np.flatnonzero(_outer_ring(side, d))
-    v.put(ring, gamma.take(ring))
-    share = 1.0 / (2 * d)
-    # Sweeps run on the flat span of the cells off the two axis-0 faces, with
-    # axis k's neighbours at flat offsets -st and +st, st = side**(d-1-k).
-    # The span's ring cells read wrapped neighbours; they are reset to gamma
-    # before the residual, to which they then add exactly 0, while every
-    # interior residual is >= 0 by monotonicity.  Two buffers alternate as
-    # the old and the new v, so no sweep copies its result back.
-    n, face = side**d, side ** (d - 1)
-    span = slice(face, n - face)
-    span_ring = ring[(ring >= face) & (ring < n - face)] - face
-    gamma_span = gamma.ravel()[span]
-    gamma_ring = gamma_span.take(span_ring)
-    sweeps = []
-    for buf in (v.ravel(), v.flatten()):
-        pairs = [(buf[face - st : n - face - st], buf[face + st : n - face + st])
-                 for st in _flat_offsets(d, side)[::2]]
-        sweeps.append((buf, buf[span], pairs))
-    avg = np.empty_like(gamma_span)
-    pair = np.empty_like(gamma_span)
-    residual = math.inf
-    for it in range(1, OBSTACLE_ITERATIONS + 1):
-        (_, old, shifted), (buf, new, _) = sweeps[(it - 1) % 2], sweeps[it % 2]
-        # The neighbour sum stays grouped by axis, (lo_0 + hi_0) + (lo_1 + hi_1) + ...
-        np.add(*shifted[0], out=avg)
-        for lo_view, hi_view in shifted[1:]:
-            np.add(lo_view, hi_view, out=pair)
-            avg += pair
-        avg *= share
-        np.maximum(gamma_span, avg, out=new)
-        new.put(span_ring, gamma_ring)
-        np.subtract(old, new, out=avg)  # avg is free again: reuse it
-        residual = float(avg.max())
-        if residual < stop:
-            return buf.reshape(gamma.shape), it, residual
-    raise RuntimeError(
-        f"obstacle iteration did not converge in {OBSTACLE_ITERATIONS} sweeps; last residual {residual:.3e}"
-    )
+    return ObstacleSolution(float(h), gamma, v, occupied, iterations, residual, _source_symmetries(source))

@@ -254,15 +254,25 @@ def test_run_exit_one_on_runner_exception(tmp_path, monkeypatch, capsys):
     assert not Path("outb").exists()  # nothing is written before the experiment finishes
 
 
-def test_run_exit_one_when_the_obstacle_sweeps_run_out(tmp_path, monkeypatch, capsys):
-    # Jacobi sweeps run at d = 3 only.
+def test_run_exit_one_when_the_obstacle_steps_run_out(tmp_path, monkeypatch, capsys):
+    # Parallel toppling runs at d = 3 only.
     monkeypatch.chdir(tmp_path)
     monkeypatch.setattr(growth, "OBSTACLE_ITERATIONS", 5)
     path = write(tmp_path, "o.txt", "kind = obstacle-shape\nd = 3\nh = 0.25\nbox = 1.0\nsource = ball 0.5 4.0\nout = outo\n")
     assert main(["run", path]) == 1
     err = capsys.readouterr().err
-    assert err.startswith("error: obstacle iteration did not converge in 5 sweeps")
+    assert err.startswith("error: parallel toppling did not settle in 5 steps")
     assert not Path("outo").exists()
+
+
+def test_run_exit_one_when_the_obstacle_reaches_the_box_edge(tmp_path, monkeypatch, capsys):
+    # A shape clipped by the box used to fail the area criterion (exit 2).
+    monkeypatch.chdir(tmp_path)
+    path = write(tmp_path, "c.txt", "kind = obstacle-shape\nd = 2\nh = 0.1\nbox = 0.5\nsource = ball 0.3 4.0\nout = outc\n")
+    assert main(["run", path]) == 1
+    err = capsys.readouterr().err
+    assert err == "error: the shape reached the box edge; increase the box beyond 0.5\n"
+    assert not Path("outc").exists()
 
 
 def test_point_source_at_tau_zero_settles(tmp_path, monkeypatch, capsys):
