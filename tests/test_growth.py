@@ -1,6 +1,8 @@
 """Growth models from a point source and the continuum obstacle picture."""
 
+import dataclasses
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -24,11 +26,20 @@ def as_tuples(agg):
     return sorted(tuple(int(v) for v in p) for p in agg.points())
 
 
+def contains_origin(agg):
+    return bool(agg.occupied[(agg.radius,) * agg.d])
+
+
+def touches_boundary(agg):
+    pts = agg.points()
+    return bool(pts.size) and bool(np.max(np.abs(pts)) >= agg.radius)
+
+
 def test_idla_single_particle_sits_at_origin():
     agg = idla_aggregate(1, 2, seed=0)
     assert agg.count == 1
     assert as_tuples(agg) == [(0, 0)]
-    assert agg.contains_origin()
+    assert contains_origin(agg)
 
 
 def test_idla_five_particles_d1_interval():
@@ -104,7 +115,7 @@ def test_point_source_heights_capped():
     res = point_source_sandpile(9.0, 2, tol=1e-8)
     assert res.final.max() <= 1.0 + 1e-8
     assert res.final.sum() == pytest.approx(9.0, abs=1e-10)
-    assert res.aggregate.contains_origin()
+    assert contains_origin(res.aggregate)
 
 
 def test_point_source_rejects_negative_mass():
@@ -117,7 +128,7 @@ def test_default_box_radius_scales():
     assert default_box_radius(100.0, 2) >= int(np.sqrt(100.0 / np.pi))
     # enough room that the stock runs never touch the edge
     res = point_source_sandpile(25.0, 2)
-    assert not res.aggregate.touches_boundary()
+    assert not touches_boundary(res.aggregate)
 
 
 def test_shape_metrics_lone_origin():
@@ -147,8 +158,8 @@ def test_obstacle_solver_disk_source():
     assert np.array_equal(occ, occ[:, ::-1])
     assert np.array_equal(occ, occ.T)
     agg = sol.aggregate()
-    assert agg.contains_origin()
-    assert not agg.touches_boundary()
+    assert contains_origin(agg)
+    assert not touches_boundary(agg)
     m = shape_metrics(agg, np.sqrt(mass / np.pi) / h)
     assert m.ball_deviation < 0.1
 
@@ -410,6 +421,123 @@ def test_rotor_matches_reference_for_every_initial_direction():
         for initial in range(2 * d):
             agg = rotor_router_aggregate(150, d, initial_direction=initial)
             assert np.array_equal(agg.occupied, reference_rotor(150, d, initial_direction=initial))
+
+
+# Sizes at which bulk firing does most of the work: the reference walk costs
+# about particles^3 steps at d = 1 and particles^1.5 at d = 2.
+SEEDED_SIZES = st.one_of(st.tuples(st.just(1), st.integers(1, 200)), st.tuples(st.just(2), st.integers(1, 3000)))
+
+
+@settings(max_examples=25, deadline=None)
+@given(d_particles=SEEDED_SIZES, turn=st.integers(0, 3), box=BOXES)
+def test_seeded_rotor_is_bit_identical_to_reference(d_particles, turn, box):
+    d, particles = d_particles
+    initial = turn % (2 * d)
+    ref = outcome(reference_rotor, particles, d, box_radius=box, initial_direction=initial)
+    new = outcome(rotor_router_aggregate, particles, d, box_radius=box, initial_direction=initial)
+    if isinstance(ref, Raised):
+        assert new == ref
+        return
+    assert np.array_equal(new.occupied, ref)
+    if box is None:
+        # the certificate holds on the default box, so the bulk path produced the result
+        seeded = growth._seeded_rotor(particles, d, default_box_radius(particles, d), initial)
+        assert seeded is not None
+        assert np.array_equal(seeded, ref)
+
+
+def test_seeded_rotor_retries_with_a_larger_margin(monkeypatch):
+    # An odometer 40 too high overfires by 24 and 8 at margins 16 and 32, which
+    # the certificate rejects; margin 64 underfires and certifies.
+    exact = growth.point_source_sandpile
+
+    def overshooting(*args, **kwargs):
+        res = exact(*args, **kwargs)
+        return dataclasses.replace(res, odometer=np.where(res.odometer > 0.0, res.odometer + 40.0, 0.0))
+
+    monkeypatch.setattr(growth, "point_source_sandpile", overshooting)
+    radius = default_box_radius(500, 2)
+    monkeypatch.setattr(growth, "_SEED_ATTEMPTS", 2)
+    assert growth._seeded_rotor(500, 2, radius, 0) is None
+    monkeypatch.setattr(growth, "_SEED_ATTEMPTS", 3)
+    assert np.array_equal(growth._seeded_rotor(500, 2, radius, 0), reference_rotor(500, 2))
+
+
+@pytest.mark.parametrize("d, particles", [(1, 11), (2, 15)])
+def test_seeded_rotor_falls_back_to_the_walk_when_every_attempt_fails(monkeypatch, d, particles):
+    # At margin 0 (doubling keeps it 0) these sizes overfire on every attempt.
+    monkeypatch.setattr(growth, "_SEED_MARGIN", 0)
+    assert growth._seeded_rotor(particles, d, default_box_radius(particles, d), 0) is None
+    assert np.array_equal(rotor_router_aggregate(particles, d).occupied, reference_rotor(particles, d))
+
+
+def assert_rotor_raises_like_reference(particles, d, box):
+    ref = outcome(reference_rotor, particles, d, box_radius=box)
+    assert isinstance(ref, Raised)
+    assert outcome(rotor_router_aggregate, particles, d, box_radius=box) == ref
+
+
+def test_seeded_rotor_falls_back_when_the_odometer_reaches_the_box_edge():
+    with pytest.raises(BoundaryTouchError):
+        point_source_sandpile(500, 2, box_radius=3)
+    assert growth._seeded_rotor(500, 2, 3, 0) is None
+    assert_rotor_raises_like_reference(500, 2, 3)
+
+
+@pytest.mark.parametrize("d, particles", [(1, 3), (2, 5)])
+def test_seeded_rotor_rejects_bulk_chips_on_the_outer_ring(monkeypatch, d, particles):
+    # In the box of radius 1 the origin is the only site off the ring.  The
+    # odometer fits (each ring site gets at most one chip), so at margin 0 the
+    # origin fires 2d times in bulk, one chip onto each ring neighbour, and
+    # keeps one chip: without the ring condition the attempt would be accepted.
+    monkeypatch.setattr(growth, "_SEED_MARGIN", 0)
+    u = point_source_sandpile(particles, d, box_radius=1).odometer
+    assert u[(1,) * d] == particles - 1
+    assert growth._seeded_rotor(particles, d, 1, 0) is None
+    assert_rotor_raises_like_reference(particles, d, 1)
+
+
+def test_seeded_rotor_rejects_a_walker_on_the_outer_ring():
+    # The odometer of 20 chips fits the box of radius 10 at d = 1, but the
+    # rotor walk reaches the ring: bulk firing stops short of it and a walker
+    # settles there.
+    point_source_sandpile(20, 1, box_radius=10)
+    assert growth._seeded_rotor(20, 1, 10, 0) is None
+    assert_rotor_raises_like_reference(20, 1, 10)
+
+
+def rotor_firings(particles, d):
+    """Firing count per site of the one-by-one rotor walk on the default box, and its occupied set."""
+    side = 2 * default_box_radius(particles, d) + 1
+    offsets = reference_offsets(d, side)
+    occupied = np.zeros(side**d, dtype=bool)
+    fires = np.zeros(side**d, dtype=np.int64)
+    for _ in range(particles):
+        pos = side**d // 2
+        while occupied[pos]:
+            step = offsets[fires[pos] % (2 * d)]
+            fires[pos] += 1
+            pos += step
+        occupied[pos] = True
+    return fires.reshape((side,) * d), occupied.reshape((side,) * d)
+
+
+def test_seeded_rotor_accepts_the_rotor_odometer_and_rejects_one_firing_more(monkeypatch):
+    d, particles = 2, 200
+    radius = default_box_radius(particles, d)
+    fires, occupied = rotor_firings(particles, d)
+    seed = [fires]
+    monkeypatch.setattr(growth, "_SEED_MARGIN", 0)
+    monkeypatch.setattr(growth, "point_source_sandpile", lambda *a, **k: SimpleNamespace(odometer=seed[0] + 0.0))
+    # every chip fires in bulk and the counts are the walk's
+    assert np.array_equal(growth._seeded_rotor(particles, d, radius, 0), occupied)
+    # One more firing at a site whose rotor points off the aggregate moves its
+    # chip out: every count stays 0 or 1, but a fired site ends empty.
+    offsets = reference_offsets(d, 2 * radius + 1)
+    site = next(x for x in np.flatnonzero(fires) if not occupied.flat[x + offsets[fires.flat[x] % (2 * d)]])
+    seed[0] = fires.copy()
+    seed[0].flat[site] += 1
+    assert growth._seeded_rotor(particles, d, radius, 0) is None
 
 
 EPS = np.finfo(np.float64).eps
