@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import numpy as np
+import numpy.random  # numpy loads it lazily; import it here, not in a timed run
 
 
 def generator(seed: int, *stream: int) -> np.random.Generator:

@@ -13,12 +13,11 @@ from pathlib import Path
 
 import numpy as np
 
-from .lattice import LatticeField, TorusShape
-
 MAGIC = b"DSF1"
 
 
-def write_field(path, field: LatticeField):
+def write_field(path, field):
+    """Write a LatticeField as a snapshot."""
     shape = field.shape
     payload = np.ascontiguousarray(field.values, dtype="<f8").tobytes()
     with open(path, "wb") as fh:
@@ -27,7 +26,11 @@ def write_field(path, field: LatticeField):
         fh.write(payload)
 
 
-def read_field(path) -> LatticeField:
+def read_field(path):
+    """The LatticeField a snapshot holds.  Only this function needs the torus
+    types, so it alone imports lattice, which loads scipy.fft."""
+    from .lattice import LatticeField, TorusShape
+
     data = Path(path).read_bytes()
     if len(data) < 12 or data[:4] != MAGIC:
         raise ValueError(f"{path}: not a field snapshot (bad magic)")
@@ -79,7 +82,7 @@ def heatmap_bytes(values: np.ndarray) -> bytes:
     return b"P5\n%d %d\n255\n" % (w, h) + scaled.tobytes()
 
 
-def write_heatmap(path, field: LatticeField):
+def write_heatmap(path, field):
     if field.shape.d != 2:
         raise ValueError(f"heatmaps need d=2, got d={field.shape.d}")
     Path(path).write_bytes(heatmap_bytes(field.values))

@@ -21,6 +21,9 @@ At d = 3 the rows are planes and that solve loses to relaxation at desk
 sizes, so the pile relaxes by parallel toppling.  At d <= 2 the same
 odometer also seeds rotor aggregation, which fires most chips in bulk and
 certifies the result (_seeded_rotor).
+
+The module needs numpy alone: gamma's sine transform is written on
+numpy.fft, bit for bit scipy's (_dstn), so growth runs never load scipy.
 """
 
 from __future__ import annotations
@@ -31,7 +34,7 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.fft
+import numpy.fft  # imported here, so that no timed run pays for it
 
 from ._util import axis_sum, generator
 
@@ -72,13 +75,6 @@ class AggregateSet:
     def points(self) -> np.ndarray:
         """Occupied lattice points as an (m, d) integer array, origin-centred."""
         return np.argwhere(self.occupied) - self.radius
-
-    def contains_origin(self) -> bool:
-        return bool(self.occupied[(self.radius,) * self.d])
-
-    def touches_boundary(self) -> bool:
-        pts = self.points()
-        return bool(pts.size) and bool(np.max(np.abs(pts)) >= self.radius)
 
 
 def _flat_offsets(d: int, side: int) -> list[int]:
@@ -628,6 +624,25 @@ class ObstacleSolution:
         return all(np.array_equal(_apply_symmetry(occ, *g), occ) for g in self.symmetries)
 
 
+def _dstn(x: np.ndarray, scale: float) -> np.ndarray:
+    """Unnormalized DST-I over every axis in turn, the first axis's output times scale.
+
+    Along an axis of length m it keeps minus the imaginary part of bins 1..m
+    of the real FFT of the odd extension [0, x, 0, -reversed x].  pocketfft
+    computes scipy.fft.dstn(type=1) the same way and applies idstn's factor
+    1 / prod 2(m + 1), rounded from long double, on the first axis, so with
+    scale 1 or that factor this is bit for bit scipy's dstn or idstn.
+    """
+    for axis in range(x.ndim):
+        m = x.shape[axis]
+        zero = np.zeros_like(x.take([0], axis=axis))
+        odd = np.concatenate([zero, x, zero, -np.flip(x, axis=axis)], axis=axis)
+        x = -numpy.fft.rfft(odd, axis=axis).imag.take(range(1, m + 1), axis=axis)
+        if axis == 0:
+            x *= scale
+    return x
+
+
 def _dirichlet_poisson(rhs: np.ndarray) -> np.ndarray:
     """Solve the zero-boundary problem (neighbour average - identity) g = rhs on a cube.
 
@@ -636,14 +651,13 @@ def _dirichlet_poisson(rhs: np.ndarray) -> np.ndarray:
     """
     d = rhs.ndim
     interior = tuple(slice(1, -1) for _ in range(d))
-    inner = rhs[interior]
-    coeffs = scipy.fft.dstn(inner, type=1)
-    m = inner.shape[0]
+    coeffs = _dstn(rhs[interior], 1.0)
+    m = coeffs.shape[0]
     lam = axis_sum(np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 1.0, d)
     lam /= d
     coeffs /= lam
     out = np.zeros_like(rhs)
-    out[interior] = scipy.fft.idstn(coeffs, type=1)
+    out[interior] = _dstn(coeffs, float(1 / np.longdouble((2 * (m + 1)) ** d)))
     return out
 
 

@@ -226,7 +226,7 @@ def replicate_sigma(spec: SigmaSpec, shape: TorusShape, seed: int, index: int) -
 
 
 # Sites one block of `replicate_blocks` holds, unless a single field is larger.
-SUB_BATCH_SITES = 1 << 20
+SUB_BATCH_SITES = 1 << 18
 
 
 def replicate_blocks(spec: SigmaSpec, shape: TorusShape, seed: int, samples: int):

@@ -1,6 +1,7 @@
 """Manifest grammar, experiment runner, exit codes, reproducibility."""
 
 import filecmp
+import json
 import os
 import re
 import subprocess
@@ -10,7 +11,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sandlab import cli, fieldstats, growth, sampling
+from sandlab import cli, fieldstats, growth, sampling, torus_kinds  # torus_kinds registers its kinds
 from sandlab.cli import (
     ManifestError,
     load_manifest,
@@ -370,7 +371,7 @@ def test_run_reports_memory_error_without_traceback(tmp_path, monkeypatch, capsy
     def out_of_memory(*args, **kwargs):
         raise MemoryError("Unable to allocate 7.28 TiB for an array with shape (1000, 1000, 1000, 1000)")
 
-    monkeypatch.setattr(cli, "sample_sigma", out_of_memory)
+    monkeypatch.setattr(torus_kinds, "sample_sigma", out_of_memory)
     path = write(tmp_path, "m.txt", "kind = topple\nd = 4\nn = 1000\nout = outm\n")
     assert main(["run", path]) == 1
     err = capsys.readouterr().err
@@ -426,6 +427,60 @@ def test_summary_lists_exactly_the_written_files(tmp_path, kind):
     assert record.outputs == tuple(listed) + ("summary.txt",)
     assert sorted(listed) == sorted(p.name for p in out.iterdir() if p.name != "summary.txt")
     assert any(name.endswith(".pgm") for name in listed) == ("heatmap = true" in TINY_RUNS[kind])
+
+
+def run_fresh(script: str):
+    """What script, run in a new interpreter on this one's sys.path, prints as JSON."""
+    done = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True, timeout=120,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout)
+
+
+SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
+
+
+def test_growth_runs_never_load_scipy(tmp_path):
+    # The package loads no submodule on import, and the growth kinds run on
+    # numpy alone, their sine transform included.
+    growth_runs = {kind: TINY_RUNS[kind] for kind in ("idla", "rotor", "point-source", "obstacle-shape")}
+    found = run_fresh(f"""
+import json, sys
+import sandlab
+package = sorted(m for m in sys.modules if m.startswith("sandlab."))
+from sandlab import cli
+for kind, text in {growth_runs!r}.items():
+    manifest = cli.parse_manifest(text)
+    cli.validate_manifest(manifest)
+    cli.run(manifest, {str(tmp_path)!r} + "/" + kind)
+print(json.dumps([package, {SCIPY_MODULES}]))
+""")
+    assert found == [[], []]
+
+
+def test_validating_a_torus_kind_loads_its_engine_and_runs_import_nothing(tmp_path):
+    # scipy.fft loads when the first torus manifest is validated, so that no
+    # timed run pays for an import: running every kind adds no module.
+    found = run_fresh(f"""
+import json, sys
+from sandlab import cli
+manifests = {{kind: cli.parse_manifest(text) for kind, text in {TINY_RUNS!r}.items()}}
+before = {SCIPY_MODULES}
+cli.validate_manifest(manifests["topple"])
+after = {SCIPY_MODULES}
+for manifest in manifests.values():
+    cli.validate_manifest(manifest)
+validated = set(sys.modules)
+for kind, manifest in manifests.items():
+    cli.run(manifest, {str(tmp_path)!r} + "/" + kind)
+print(json.dumps([before, "scipy.fft" in after, sorted(set(sys.modules) - validated)]))
+""")
+    assert found == [[], True, []]
+
+
+def test_every_kind_is_registered_once_the_torus_kinds_load():
+    assert set(cli._EXPERIMENTS) == set(cli.KINDS)
+    assert len(cli.KINDS) == 12
 
 
 VARIANCE_F2 = "kind = variance\nd = 2\nn = 8, 16\nf = cos 1 0\nf2 = sin 1 1\nsamples = 300\n"
@@ -511,14 +566,14 @@ def test_mass_conserved_uses_the_magnitude_of_the_initial_mass(
     monkeypatch.chdir(tmp_path)
     shape = (8, 8)
     start = np.full(shape, mass_before / 64)
-    monkeypatch.setattr(cli, "make_initial_config",
+    monkeypatch.setattr(torus_kinds, "make_initial_config",
                         lambda sigma: LatticeField(sigma.shape, start))
 
     def fake_stabilize(state):
         s = LatticeField(state.op.shape, np.full(shape, mass_after / 64))
         return SandpileState(state.op, s, state.u, state.t + 1), StabilizationReport("stabilized", 1, 0.0, 0.0)
 
-    monkeypatch.setattr(cli, "stabilize", fake_stabilize)
+    monkeypatch.setattr(torus_kinds, "stabilize", fake_stabilize)
     path = write(tmp_path, "m.txt", TOPPLE + "out = outm\nwrite_fields = false\n")
     assert main(["run", path]) == (0 if verdict.startswith("pass") else 2)
     assert f"criterion mass-conserved = {verdict}" in capsys.readouterr().out

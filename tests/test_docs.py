@@ -4,7 +4,7 @@ import itertools
 from pathlib import Path
 
 import sandlab
-from sandlab import cli
+from sandlab import cli, torus_kinds  # noqa: F401  registers the torus kinds in cli._EXPERIMENTS
 
 
 def readme_python_session() -> str:

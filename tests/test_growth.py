@@ -1,6 +1,7 @@
 """Growth models from a point source and the continuum obstacle picture."""
 
 import dataclasses
+import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
@@ -9,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from sandlab import growth
-from sandlab._util import generator
+from sandlab._util import axis_sum, generator
 from sandlab.growth import (
     AggregateSet,
     BoundaryTouchError,
@@ -788,3 +789,29 @@ def test_obstacle_with_a_point_source_is_the_point_source_sandpile(d, mass, box)
         gap, _ = toppling_gap(res.odometer, 1e-6, res.steps + sol.iterations)
         assert np.abs(sol.v - sol.gamma - res.odometer).max() <= gap
     assert np.array_equal(sol.occupied, res.aggregate.occupied)
+
+
+@pytest.mark.parametrize("shape", [
+    (1,), (8,), (99,), (5461,), (6, 6), (19, 19), (99, 99), (100, 100), (7, 7, 7), (8, 8, 8), (39, 39, 39),
+])
+def test_numpy_sine_transform_is_scipys_bit_for_bit(shape):
+    # At side 5461 the inverse factor 1/10924 rounds differently in double
+    # than from long double, as pocketfft computes it.
+    scipy_fft = pytest.importorskip("scipy.fft")
+    rng = np.random.default_rng(len(shape) * 10_000 + shape[0])
+    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
+    scale = float(1 / np.longdouble(math.prod(2 * (m + 1) for m in shape)))
+    assert growth._dstn(x, 1.0).tobytes() == scipy_fft.dstn(x, type=1).tobytes()
+    assert growth._dstn(x, scale).tobytes() == scipy_fft.idstn(x, type=1).tobytes()
+
+
+@pytest.mark.parametrize("side, d", [(5463, 1), (101, 2), (41, 3)])
+def test_dirichlet_potential_is_the_scipy_solve_bit_for_bit(side, d):
+    # The solve as written on scipy.fft.dstn / idstn before gamma moved to numpy.
+    scipy_fft = pytest.importorskip("scipy.fft")
+    rhs = np.random.default_rng(side).standard_normal((side,) * d)
+    interior, m = (slice(1, -1),) * d, side - 2
+    lam = axis_sum(np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 1.0, d) / d
+    want = np.zeros_like(rhs)
+    want[interior] = scipy_fft.idstn(scipy_fft.dstn(rhs[interior], type=1) / lam, type=1)
+    assert growth._dirichlet_poisson(rhs).tobytes() == want.tobytes()

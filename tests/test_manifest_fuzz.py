@@ -17,7 +17,7 @@ from pathlib import Path
 
 from hypothesis import example, given, settings, strategies as st
 
-from sandlab import cli
+from sandlab import cli, torus_kinds  # noqa: F401  registers the torus kinds in cli._EXPERIMENTS
 from sandlab.cli import main
 
 # The largest side per dimension that keeps n^d <= 512.
