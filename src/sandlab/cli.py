@@ -518,9 +518,12 @@ def _run_obstacle_shape(p):
 def run(manifest: Manifest, outdir=None, workers: int = 1) -> RunRecord:
     """Execute a validated manifest, then write its artifacts and summary.
 
-    Every experiment runs serially.  ``workers`` is kept only because callers
-    written for the former thread pool pass ``workers=1`` (the benchmark's
-    ``perfbench/worker.py`` does); any other value raises ``ValueError``.
+    Experiments run in the calling thread, except that the mean odometer
+    draws its next block of noise on one helper thread; every output byte
+    still depends only on the manifest and its seed.  ``workers`` is kept
+    only because callers written for the former thread pool pass
+    ``workers=1`` (the benchmark's ``perfbench/worker.py`` does); any other
+    value raises ``ValueError``.
     """
     if workers != 1:
         raise ValueError("sandlab runs serially; workers must be 1")

@@ -21,6 +21,7 @@ spectral variance reported alongside.
 from __future__ import annotations
 
 import math
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,8 +31,10 @@ from .lattice import (
     LatticeField,
     TorusShape,
     cell_integral_field,
+    half_grid_forward,
+    half_grid_inverse,
 )
-from .odometer import eta_covariance_exact, eta_sample_batch
+from .odometer import eta_covariance_exact
 from .operators import OperatorSpec, power_law_multiplier, solve_poisson
 from .sampling import SigmaSpec, color, replicate_blocks, unfiltered
 from .testfun import TestFunction
@@ -84,12 +87,6 @@ def scaling_constant(mode: ScalingMode, shape: TorusShape) -> float:
         return n ** ((d - 4.0) / 2.0)
     # stable
     return four_pi2 * n ** (d - d / mode.alpha - 2.0)
-
-
-def pair_field(u: LatticeField, f: TestFunction) -> float:
-    """Pairing sum_z u(z) * (integral of f over the cell of z); kills constants exactly."""
-    c = cell_integral_field(f, u.shape)
-    return float(np.dot(u.ravel(), c.ravel()))
 
 
 def pairing_vector(op: OperatorSpec, f: TestFunction) -> LatticeField:
@@ -163,20 +160,6 @@ def _limit_law(mode: ScalingMode):
     if mode.kind == "lr-ind":
         return None, _growth_gamma("lr", mode.alpha)
     raise ValueError("stable mode pairs through run_charfun_experiment")
-
-
-def gaussian_calibration(mode: ScalingMode, f: TestFunction, shape: TorusShape) -> float:
-    """Deterministic ratio of exact rescaled variance to the limit prediction.
-
-    For nearest-neighbour modes this approaches (2d)^2 as n grows, reflecting
-    the generator normalization; for long-range modes it approaches the
-    kernel's own constant.  Computed exactly from the spectral variance, no
-    sampling involved.
-    """
-    op, spec = _mode_lattice(mode, shape)
-    a = scaling_constant(mode, shape)
-    exact = a * a * exact_pairing_variance(op, f, spec.khat)
-    return exact / limit_variance(f, *_limit_law(mode))
 
 
 @dataclass(frozen=True)
@@ -447,7 +430,9 @@ def mean_odometer_curve(
 
     Gaussian noise throughout, in the one replicate layout of
     `replicate_blocks`; eta is solved spectrally one bounded block at a
-    time and the minimum taken over sites.
+    time and the minimum taken over sites.  One helper thread draws the
+    next block while the current one is solved (`_neg_min_eta_samples`);
+    the result depends only on the arguments, bit for bit.
     """
     rows = []
     for n in ns:
@@ -463,17 +448,33 @@ def mean_odometer_curve(
 
 
 def _neg_min_eta_samples(op: OperatorSpec, samples: int, seed: int) -> np.ndarray:
-    """-min eta of replicates 0 .. samples - 1, one block of `replicate_blocks` at a time."""
+    """-min eta of replicates 0 .. samples - 1, one block of `replicate_blocks` at a time.
+
+    One helper thread draws block i + 1 while this thread solves block i;
+    both the draws and the FFTs release the GIL.  The draw starts only once
+    block i is transformed and dropped, so the new block takes its place,
+    and every block is drawn and solved as in a serial walk, bit for bit.
+    """
     out = np.empty(samples)
-    for lo, block in replicate_blocks(SigmaSpec.iid_gaussian(), op.shape, seed, samples):
-        eta = eta_sample_batch(op, block).reshape(len(block), -1)
-        # Drop the noise, then the potentials, before the next draw.  The
-        # traced peak is the same if they live on, but the heap fragments:
-        # a d=2 n=256 curve run after the d=3 sizes then peaked 7 MB higher
-        # in RSS (99 against 92 MB).
-        del block
-        out[lo : lo + len(eta)] = -eta.min(axis=1)
-        del eta
+    blocks = replicate_blocks(SigmaSpec.iid_gaussian(), op.shape, seed, samples)
+    with ThreadPoolExecutor(max_workers=1) as helper:
+        item = next(blocks, None)
+        while item is not None:
+            lo, block = item
+            coeffs = half_grid_forward(block, op.shape)
+            # The next draw starts once no reference to this block is left,
+            # and the potentials go before it lands.  Live potentials leave
+            # the traced peak alone but fragment the heap: a d=2 n=256 curve
+            # run after the d=3 sizes peaked 7 MB higher in RSS (99 against
+            # 92 MB).
+            del item, block
+            drawing = helper.submit(next, blocks, None)
+            eta = half_grid_inverse(coeffs, op.inverse_symbol(), op.shape)
+            del coeffs
+            out[lo : lo + len(eta)] = -eta.reshape(len(eta), -1).min(axis=1)
+            del eta
+            item = drawing.result()
+            del drawing  # it holds the next block as well
     return out
 
 

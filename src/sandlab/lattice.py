@@ -6,7 +6,8 @@ order so that ``values.ravel()`` is the canonical site enumeration.  Spectral
 tables are indexed like the FFT grid, and the transforms are the unnormalized
 forward FFTs of numpy and scipy (the inverse carries the n^-d).  The long-range
 step, the Poisson solves and the colored-noise filter all multiply by a real
-half-grid table through the one round trip of ``half_grid_product``.
+half-grid table through the one round trip of ``half_grid_product``, whose
+two halves the mean odometer also calls apart.
 """
 
 from __future__ import annotations
@@ -93,10 +94,18 @@ def half_grid_product(x: np.ndarray, table: np.ndarray, shape: TorusShape) -> np
     """irfftn(rfftn(x) * table) over the trailing d axes of x; leading axes
     index replicates.  table is real, even under w -> -w, and read on the
     rfftn half grid of n^(d-1) * (n//2 + 1) entries."""
-    axes = tuple(range(x.ndim - shape.d, x.ndim))
-    coeffs = scipy.fft.rfftn(x, axes=axes)
+    return half_grid_inverse(half_grid_forward(x, shape), table, shape)
+
+
+def half_grid_forward(x: np.ndarray, shape: TorusShape) -> np.ndarray:
+    """rfftn over the trailing d axes of x, the first half of ``half_grid_product``."""
+    return scipy.fft.rfftn(x, axes=tuple(range(-shape.d, 0)))
+
+
+def half_grid_inverse(coeffs: np.ndarray, table: np.ndarray, shape: TorusShape) -> np.ndarray:
+    """irfftn(coeffs * table), the second half of ``half_grid_product``; coeffs is overwritten."""
     coeffs *= table
-    return scipy.fft.irfftn(coeffs, s=shape.dims, axes=axes)
+    return scipy.fft.irfftn(coeffs, s=shape.dims, axes=tuple(range(-shape.d, 0)))
 
 
 def _reverse_indices(c: np.ndarray) -> np.ndarray:

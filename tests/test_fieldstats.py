@@ -1,7 +1,10 @@
 """Limit-law machinery: normalizations, pairings, experiments, asymptotics."""
 
 import math
+import sys
+import threading
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -18,19 +21,18 @@ from sandlab.fieldstats import (
     covariance_decay_slope,
     covariance_profile,
     exact_pairing_variance,
-    gaussian_calibration,
     hurst_classify,
     limit_variance,
     mean_odometer_curve,
     mean_odometer_exponent,
     mean_odometer_prediction,
-    pair_field,
     pairing_vector,
     run_charfun_experiment,
     run_variance_experiment,
     structure_prediction,
     variance_structure_curve,
 )
+from sandlab.lattice import cell_integral_field
 from sandlab.operators import power_law_multiplier
 from sandlab.odometer import eta_covariance_exact, eta_field, eta_sample_batch
 from sandlab.sampling import (
@@ -38,11 +40,31 @@ from sandlab.sampling import (
     SUB_BATCH_SITES,
     SigmaSpec,
     make_initial_config,
+    replicate_blocks,
+    replicate_sigma,
     sigma_chunk,
 )
 
 
 FOUR_PI2 = 4.0 * math.pi**2
+
+
+def pair_field(u, f):
+    """Pairing sum_z u(z) * (integral of f over the cell of z); kills constants exactly."""
+    c = cell_integral_field(f, u.shape)
+    return float(np.dot(u.ravel(), c.ravel()))
+
+
+def gaussian_calibration(mode, f, shape):
+    """Exact rescaled variance over the limit prediction, with no sampling.
+
+    For nearest-neighbour modes this approaches (2d)^2 as n grows, the
+    generator normalization; for long-range modes, the kernel's own constant.
+    """
+    op, spec = fieldstats._mode_lattice(mode, shape)
+    a = fieldstats.scaling_constant(mode, shape)
+    exact = a * a * exact_pairing_variance(op, f, spec.khat)
+    return exact / limit_variance(f, *fieldstats._limit_law(mode))
 
 
 def test_scaling_constant_frozen_values():
@@ -392,9 +414,9 @@ def whole_chunk_neg_min_eta(op, samples, seed):
 
 
 @pytest.mark.parametrize("kind, d, n, samples, alpha", [
-    ("nn", 3, 64, 20, None),   # one chunk of 20 replicates, blocks of 4
-    ("nn", 2, 512, 9, None),   # one chunk of 9, blocks of 4
-    ("lr", 2, 300, 50, 1.0),   # one chunk of 50, blocks of 11
+    ("nn", 3, 64, 20, None),   # one chunk of 20 replicates, blocks of 1
+    ("nn", 2, 512, 9, None),   # one chunk of 9, blocks of 1
+    ("lr", 2, 300, 50, 1.0),   # one chunk of 50, blocks of 2
 ])
 def test_sub_batched_mean_odometer_equals_whole_chunks(kind, d, n, samples, alpha):
     op = OperatorSpec(kind, TorusShape(d, n), alpha=alpha)
@@ -411,6 +433,82 @@ def test_sub_batch_boundaries_never_move_a_replicate(monkeypatch, sub_batch_site
     want = whole_chunk_neg_min_eta(op, samples, 5)
     monkeypatch.setattr(sampling, "SUB_BATCH_SITES", sub_batch_sites)
     assert np.array_equal(fieldstats._neg_min_eta_samples(op, samples, 5), want)
+
+
+@pytest.mark.parametrize("d, n, sub_batch_sites, sizes", [
+    (2, 12, 144, [1] * 5),       # one replicate a block
+    (2, 12, 500, [3, 2]),        # several, the last block cut short
+    (3, 6, 216, [1] * 5),
+    (3, 6, 1000, [4, 1]),
+])
+def test_threaded_neg_min_eta_is_the_serial_solve_of_each_replicate(monkeypatch, d, n, sub_batch_sites, sizes):
+    # The helper thread draws block i + 1 while block i is solved; every
+    # replicate must still be the one replicate_sigma draws, solved alone.
+    op = OperatorSpec.nearest_neighbour(TorusShape(d, n))
+    iid = SigmaSpec.iid_gaussian()
+    samples = sum(sizes)
+    want = np.array([-op.solve(replicate_sigma(iid, op.shape, 7, r)).min() for r in range(samples)])
+    monkeypatch.setattr(sampling, "SUB_BATCH_SITES", sub_batch_sites)
+    assert [len(b) for _, b in replicate_blocks(iid, op.shape, 7, samples)] == sizes
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)  # interleave the two threads as finely as the interpreter allows
+    try:
+        got = fieldstats._neg_min_eta_samples(op, samples, 7)
+    finally:
+        sys.setswitchinterval(switch)
+    assert np.array_equal(got, want)
+
+
+def test_each_draw_starts_once_the_block_before_is_dropped(monkeypatch):
+    # Block i + 1 takes block i's place: the helper starts drawing it only
+    # after block i is transformed and no reference to it is left.
+    monkeypatch.setattr(sampling, "SUB_BATCH_SITES", 64)
+    drawn, alive_at_draw = [], []
+    real = sampling.sigma_chunk
+
+    def tracked(*args, **kwargs):
+        alive_at_draw.extend(ref() is not None for ref in drawn)
+        block = real(*args, **kwargs)
+        drawn.append(weakref.ref(block))
+        return block
+
+    monkeypatch.setattr(sampling, "sigma_chunk", tracked)
+    fieldstats._neg_min_eta_samples(OperatorSpec.nearest_neighbour(TorusShape(2, 8)), 5, 0)
+    assert len(drawn) == 5
+    assert not any(alive_at_draw)
+
+
+def test_mean_odometer_leaves_no_thread_running(monkeypatch):
+    monkeypatch.setattr(sampling, "SUB_BATCH_SITES", 64)
+    before = threading.active_count()
+    mean_odometer_curve("nn", 2, (8, 16), 5, seed=0)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("module, name", [(sampling, "sigma_chunk"), (fieldstats, "half_grid_inverse")])
+def test_a_failure_on_either_thread_reaches_the_caller(monkeypatch, module, name):
+    # The second draw runs on the helper thread, the second solve on the
+    # caller's while the third block is drawn.  Either failure comes out of
+    # mean_odometer_curve as the same exception, and the helper is joined.
+    monkeypatch.setattr(sampling, "SUB_BATCH_SITES", 64)
+    err = RuntimeError(f"{name} failed")
+    threads = []
+    real = getattr(module, name)
+
+    def second_call_fails(*args, **kwargs):
+        threads.append(threading.current_thread())
+        if len(threads) == 2:
+            raise err
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, second_call_fails)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as caught:
+        mean_odometer_curve("nn", 2, (8, 16), 5, seed=0)
+    assert caught.value is err
+    assert threads[0] is threading.current_thread()
+    assert (threads[1] is threading.current_thread()) == (name == "half_grid_inverse")
+    assert threading.active_count() == before
 
 
 @settings(max_examples=30, deadline=None)
@@ -441,8 +539,12 @@ def test_filtered_vector_pairings_equal_filtered_field_pairings(d, n, delta, see
 
 
 def test_mean_odometer_memory_is_a_few_sub_batches():
-    # At d = 3 n = 64 a chunk holds 8 replicates here; drawing and solving it
-    # whole traced 51.5 MiB, one block of 4 at a time traces about 27 MiB.
+    # The 8 replicates come as one block of 8 at n = 32 and as blocks of 1
+    # at n = 64.  Drawing and solving each chunk whole traced 51.5 MiB.  Block
+    # by block, with the next block drawn on the helper thread, it traces
+    # 7.1 MiB, as the serial walk did: a 2 MiB block of noise, the 2 MiB of
+    # coefficients and 2 MiB of potentials of the block before it, and the
+    # 1 MiB symbol.
     tracemalloc.start()
     try:
         mean_odometer_curve("nn", 3, [32, 64], 8, seed=0)
