@@ -625,4 +625,6 @@ def main(argv=None) -> int:
 
 
 if __name__ == "__main__":
-    sys.exit(main())
+    from sandlab import cli  # torus_kinds registers in this module, not in __main__
+
+    sys.exit(cli.main())

@@ -328,7 +328,6 @@ def run_charfun_experiment(
     samples: int,
     seed: int = 0,
     ts=(0.5, 1.0, 2.0),
-    scale: float = 1.0,
 ) -> tuple[CharfunExperiment, ...]:
     """Empirical characteristic function of the rescaled stable pairing.
 
@@ -343,13 +342,13 @@ def run_charfun_experiment(
     a = scaling_constant(mode, shape)
     ks = [pairing_vector(op, f).ravel() for f in fs]
     with np.errstate(all="ignore"):  # a pairing that leaves float range is refused below
-        pairings = [xs * a for xs in _pairing_samples(SigmaSpec.stable(alpha, scale), shape, seed, samples, ks)]
-    calibration = (2.0 * shape.d) ** alpha * scale**alpha
+        pairings = [xs * a for xs in _pairing_samples(SigmaSpec.stable(alpha), shape, seed, samples, ks)]
+    calibration = (2.0 * shape.d) ** alpha
     experiments = []
     for f, k, xs in zip(fs, ks, pairings):
         if not (a > 0 and np.isfinite(xs).all()):
             raise ValueError(f"stable alpha = {alpha:g} at n = {shape.n} leaves float range (a_n = {a:g})")
-        exact_scale = float(np.sum(np.abs(k * a) ** alpha)) * scale**alpha
+        exact_scale = float(np.sum(np.abs(k * a) ** alpha))
         cont = charfun_continuum_integral(f, alpha)
         rows = []
         for t in ts:

@@ -14,16 +14,14 @@ non-coincidence set {v > gamma} is the predicted shape.
 Both problems are the same one.  gamma's Laplacian is h^2 (source - 1), so
 (v - gamma) / h^2 is the divisible-sandpile odometer started from heights
 source: the least u >= 0, zero on the box edge, with source + L u <= 1 (the
-least action principle).  One engine per dimension finds that odometer for
-both.  At d <= 2 a primal-dual active-set loop solves it exactly in a few
-iterations, each a block-tridiagonal solve over the axis-0 rows in numpy.
-At d = 3 the rows are planes and that solve loses to relaxation at desk
-sizes, so the pile relaxes by parallel toppling.  At d <= 2 the same
-odometer also seeds rotor aggregation, which fires most chips in bulk and
-certifies the result (_seeded_rotor).
-
-The module needs numpy alone: gamma's sine transform is written on
-numpy.fft, bit for bit scipy's (_dstn), so growth runs never load scipy.
+least action principle).  So the predictor finds that odometer and never
+forms gamma or v, and one engine per dimension serves both problems.  At
+d <= 2 a primal-dual active-set loop solves it exactly in a few iterations,
+each a block-tridiagonal solve over the axis-0 rows in numpy.  At d = 3 the
+rows are planes and that solve loses to relaxation at desk sizes, so the
+pile relaxes by parallel toppling.  At d <= 2 the same odometer also seeds
+rotor aggregation, which fires most chips in bulk and certifies the result
+(_seeded_rotor).
 """
 
 from __future__ import annotations
@@ -34,7 +32,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-import numpy.fft  # imported here, so that no timed run pays for it
 
 from ._util import axis_sum, generator
 
@@ -595,13 +592,14 @@ def shape_metrics(agg: AggregateSet, predicted_radius: float) -> ShapeMetrics:
 class ObstacleSolution:
     """Obstacle-problem output on a grid of spacing h.
 
+    ``odometer`` is u = (v - gamma) / h^2, the sandpile odometer of the
+    source, and ``occupied`` is the predicted shape {v > gamma}.
     ``symmetries`` lists the signed axis permutations (perm, signs), other
     than the identity, that map the source onto itself.
     """
 
     h: float
-    gamma: np.ndarray
-    v: np.ndarray
+    odometer: np.ndarray
     occupied: np.ndarray
     iterations: int
     residual: float
@@ -609,56 +607,19 @@ class ObstacleSolution:
 
     @property
     def d(self) -> int:
-        return self.gamma.ndim
+        return self.occupied.ndim
 
     def area(self) -> float:
         return float(self.occupied.sum()) * self.h**self.d
 
     def aggregate(self) -> AggregateSet:
-        radius = (self.gamma.shape[0] - 1) // 2
+        radius = (self.occupied.shape[0] - 1) // 2
         return AggregateSet(self.d, radius, self.occupied)
 
     def is_symmetric(self) -> bool:
         """Whether the occupied set equals its image under every symmetry of the source."""
         occ = self.occupied
         return all(np.array_equal(_apply_symmetry(occ, *g), occ) for g in self.symmetries)
-
-
-def _dstn(x: np.ndarray, scale: float) -> np.ndarray:
-    """Unnormalized DST-I over every axis in turn, the first axis's output times scale.
-
-    Along an axis of length m it keeps minus the imaginary part of bins 1..m
-    of the real FFT of the odd extension [0, x, 0, -reversed x].  pocketfft
-    computes scipy.fft.dstn(type=1) the same way and applies idstn's factor
-    1 / prod 2(m + 1), rounded from long double, on the first axis, so with
-    scale 1 or that factor this is bit for bit scipy's dstn or idstn.
-    """
-    for axis in range(x.ndim):
-        m = x.shape[axis]
-        zero = np.zeros_like(x.take([0], axis=axis))
-        odd = np.concatenate([zero, x, zero, -np.flip(x, axis=axis)], axis=axis)
-        x = -numpy.fft.rfft(odd, axis=axis).imag.take(range(1, m + 1), axis=axis)
-        if axis == 0:
-            x *= scale
-    return x
-
-
-def _dirichlet_poisson(rhs: np.ndarray) -> np.ndarray:
-    """Solve the zero-boundary problem (neighbour average - identity) g = rhs on a cube.
-
-    Sine-transform diagonalization on the interior nodes; the result is
-    embedded back into the full grid with zeros on the outer ring.
-    """
-    d = rhs.ndim
-    interior = tuple(slice(1, -1) for _ in range(d))
-    coeffs = _dstn(rhs[interior], 1.0)
-    m = coeffs.shape[0]
-    lam = axis_sum(np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 1.0, d)
-    lam /= d
-    coeffs /= lam
-    out = np.zeros_like(rhs)
-    out[interior] = _dstn(coeffs, float(1 / np.longdouble((2 * (m + 1)) ** d)))
-    return out
 
 
 def _apply_symmetry(arr: np.ndarray, perm, signs) -> np.ndarray:
@@ -693,13 +654,14 @@ def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
     Since L gamma = h^2 (source - 1) inside the box, v = gamma + h^2 u for u
     the sandpile odometer of the heights source, which _box_odometer finds:
     exactly by active sets at d <= 2, by parallel toppling at d = 3 until
-    every excess is at most stop / h^2, stop being 1e-10 max|gamma|.
-    ``iterations`` counts active-set iterations or toppling steps, and
-    ``residual`` is h^2 max |source + L u - 1| over the sites where u > 0:
-    the solve's rounding at d <= 2, at most stop at d = 3.  The
-    non-coincidence set uses a threshold ten times stop to separate rounding
-    noise from genuine contact.  A shape that reaches the box edge raises
-    BoundaryTouchError.
+    every excess is at most tol = 1e-10 d R^2, R the box radius in cells.
+    h^2 d R^2 is |gamma| at a box corner, where the potential vanishes, so
+    h^2 tol is at most 1e-10 max|gamma|.  ``iterations`` counts active-set
+    iterations or toppling steps, and ``residual`` is
+    h^2 max |source + L u - 1| over the sites where u > 0: the solve's
+    rounding at d <= 2, at most h^2 tol at d = 3.  The shape {v > gamma} is
+    read as u > 10 tol, to separate rounding noise from genuine contact.  A
+    shape that reaches the box edge raises BoundaryTouchError.
     """
     source = np.asarray(source, dtype=np.float64)
     d = source.ndim
@@ -710,16 +672,12 @@ def continuum_obstacle_solve(source: np.ndarray, h: float) -> ObstacleSolution:
     if support.size and (support.min() == 0 or support.max() == side - 1):
         raise ValueError("source support must sit strictly inside the box")
     radius = (side - 1) // 2
-    axis = (np.arange(side) - radius).astype(np.float64)
-    gamma = -(h * h) * axis_sum(axis**2, d) + _dirichlet_poisson(h * h * source)
-    stop = 1e-10 * float(np.max(np.abs(gamma)))
+    tol = 1e-10 * d * radius**2
     try:
-        u, _, iterations = _box_odometer(source, stop / (h * h), OBSTACLE_ITERATIONS)
+        u, _, iterations = _box_odometer(source, tol, OBSTACLE_ITERATIONS)
     except BoundaryTouchError:
         raise BoundaryTouchError(
             f"the shape reached the box edge; increase the box beyond {radius * h:g}"
         ) from None
-    v = gamma + (h * h) * u
     residual = (h * h) * float(np.abs(source + _box_laplacian(u) - 1.0)[u > 0.0].max(initial=0.0))
-    occupied = v > gamma + 10.0 * stop
-    return ObstacleSolution(float(h), gamma, v, occupied, iterations, residual, _source_symmetries(source))
+    return ObstacleSolution(float(h), u, u > 10.0 * tol, iterations, residual, _source_symmetries(source))

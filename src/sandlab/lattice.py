@@ -7,7 +7,8 @@ tables are indexed like the FFT grid, and the transforms are the unnormalized
 forward FFTs of numpy and scipy (the inverse carries the n^-d).  The long-range
 step, the Poisson solves and the colored-noise filter all multiply by a real
 half-grid table through the one round trip of ``half_grid_product``, whose
-two halves the mean odometer also calls apart.
+two halves the mean odometer also calls apart; the exact covariance table is
+the inverse half alone.
 """
 
 from __future__ import annotations

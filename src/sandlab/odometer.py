@@ -18,9 +18,8 @@ spectrally colored noise.
 from __future__ import annotations
 
 import numpy as np
-import scipy.fft
 
-from .lattice import LatticeField
+from .lattice import LatticeField, half_grid_inverse
 from .operators import OperatorSpec, solve_poisson
 from .sampling import half_multiplier
 
@@ -60,19 +59,5 @@ def eta_covariance_exact(op: OperatorSpec, khat: np.ndarray | None = None) -> La
     the offset x, is one inverse real transform from the half grid.
     """
     weight = 1.0 / op.shape.nsites if khat is None else half_multiplier(khat, op.shape)
-    values = scipy.fft.irfftn(weight * op.inverse_symbol() ** 2, s=op.shape.dims) * op.shape.nsites
+    values = half_grid_inverse(op.inverse_symbol() ** 2, weight, op.shape) * op.shape.nsites
     return LatticeField(op.shape, values)
-
-
-def eta_sample_batch(
-    op: OperatorSpec, sigma_block: np.ndarray
-) -> np.ndarray:
-    """Vectorized eta fields for a block of sigma replicates.
-
-    sigma_block has shape (count,) + dims.  Centering happens inside, so raw
-    noise can be passed directly; the result is the block of mean-zero
-    potentials of 1 + sigma - mean(sigma).
-    """
-    if sigma_block.shape[1:] != op.shape.dims:
-        raise ValueError("sigma block does not match the operator's torus")
-    return op.solve(sigma_block)

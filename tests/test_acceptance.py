@@ -35,7 +35,6 @@ from sandlab.growth import (
 )
 from sandlab.odometer import (
     eta_covariance_exact,
-    eta_sample_batch,
     odometer_routes,
     odometer_spectral,
 )
@@ -175,7 +174,7 @@ def test_criterion_05_exact_covariance_matches_monte_carlo():
     sig = np.concatenate(
         [sigma_chunk(SigmaSpec.iid_gaussian(), shape, 99, c) for c in range(chunks)]
     )[:samples]
-    etas = eta_sample_batch(op, sig)
+    etas = op.solve(sig)
     emp = etas.T @ etas / samples
     # Wick stderr of a Gaussian covariance entry: (C_ii C_jj + C_ij^2) / N.
     se = np.sqrt((np.outer(np.diag(cov), np.diag(cov)) + cov**2) / samples)

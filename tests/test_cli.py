@@ -302,6 +302,19 @@ def test_closed_stdout_exits_one_without_traceback(tmp_path):
     assert done.stderr == "error: standard output closed\n"
 
 
+@pytest.mark.parametrize("verb", ["validate", "run"])
+def test_python_m_sandlab_cli_runs_a_torus_manifest(tmp_path, verb):
+    # Run as a module, cli.py executes as __main__, while torus_kinds
+    # registers its kinds in the imported sandlab.cli.
+    manifest = write(tmp_path, "decay.txt", TINY_RUNS["kernel-decay"] + "tol = 10\n")
+    done = subprocess.run([sys.executable, "-m", "sandlab.cli", verb, manifest], capture_output=True,
+                          text=True, timeout=60, cwd=tmp_path,
+                          env={**os.environ, "PYTHONPATH": os.pathsep.join(sys.path)})
+    assert done.returncode == 0, done.stderr
+    assert "Traceback" not in done.stderr
+    assert done.stdout.startswith("ok: kind=kernel-decay" if verb == "validate" else "criterion decay-slope = ")
+
+
 @pytest.mark.parametrize("argv", [["run"], ["bogus"], ["run", "m.txt", "--bogus"]],
                          ids=["no-manifest", "unknown-verb", "unknown-flag"])
 def test_usage_error_exits_one_with_one_error_line(argv, capsys):
@@ -442,7 +455,7 @@ SCIPY_MODULES = "sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')"
 
 def test_growth_runs_never_load_scipy(tmp_path):
     # The package loads no submodule on import, and the growth kinds run on
-    # numpy alone, their sine transform included.
+    # numpy alone, with no Fourier transform at all.
     growth_runs = {kind: TINY_RUNS[kind] for kind in ("idla", "rotor", "point-source", "obstacle-shape")}
     found = run_fresh(f"""
 import json, sys
@@ -453,9 +466,9 @@ for kind, text in {growth_runs!r}.items():
     manifest = cli.parse_manifest(text)
     cli.validate_manifest(manifest)
     cli.run(manifest, {str(tmp_path)!r} + "/" + kind)
-print(json.dumps([package, {SCIPY_MODULES}]))
+print(json.dumps([package, {SCIPY_MODULES}, "numpy.fft" in sys.modules]))
 """)
-    assert found == [[], []]
+    assert found == [[], [], False]
 
 
 def test_validating_a_torus_kind_loads_its_engine_and_runs_import_nothing(tmp_path):

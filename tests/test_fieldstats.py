@@ -34,7 +34,7 @@ from sandlab.fieldstats import (
 )
 from sandlab.lattice import cell_integral_field
 from sandlab.operators import power_law_multiplier
-from sandlab.odometer import eta_covariance_exact, eta_field, eta_sample_batch
+from sandlab.odometer import eta_covariance_exact, eta_field
 from sandlab.sampling import (
     CHUNK_REPLICATES,
     SUB_BATCH_SITES,
@@ -408,7 +408,7 @@ def whole_chunk_neg_min_eta(op, samples, seed):
     out = np.empty(samples)
     for chunk_index, first in enumerate(range(0, samples, CHUNK_REPLICATES)):
         count = min(CHUNK_REPLICATES, samples - first)
-        eta = eta_sample_batch(op, reference_normals(seed, shape, count, (1, chunk_index)))
+        eta = op.solve(reference_normals(seed, shape, count, (1, chunk_index)))
         out[first : first + count] = -eta.reshape(count, -1).min(axis=1)
     return out
 

@@ -1,12 +1,12 @@
 """Growth models from a point source and the continuum obstacle picture."""
 
 import dataclasses
-import math
 from dataclasses import dataclass
 from types import SimpleNamespace
 
 import numpy as np
 import pytest
+import scipy.fft
 from hypothesis import given, settings, strategies as st
 
 from sandlab import growth
@@ -343,10 +343,9 @@ def reference_point_source(mass, d, box_radius=None, tol=1e-6, step_limit=2_000_
     return s, u, steps
 
 
-def reference_obstacle_sweeps(gamma):
-    """The monotone relaxation of continuum_obstacle_solve, from its obstacle."""
+def reference_obstacle_sweeps(gamma, stop):
+    """Jacobi sweeps v = max(gamma, neighbour average of v) from above, until one moves v by less than stop."""
     d = gamma.ndim
-    stop = 1e-10 * float(np.max(np.abs(gamma)))
     v = np.full_like(gamma, float(gamma.max()))
     boundary_mask = np.zeros_like(gamma, dtype=bool)
     for k in range(d):
@@ -604,56 +603,66 @@ def ball_source(d, cells, ball, height):
     return np.where(sum(m * m for m in mesh) <= ball * ball, height, 0.0), h
 
 
-def assert_solves_obstacle_lcp(sol):
-    """v >= gamma, v = gamma on the edge, L v <= 0, and L v = 0 where v > gamma.
+def assert_solves_obstacle_lcp(sol, source):
+    """u >= 0, u = 0 on the edge, heights source + L u at most one, and one where u > 0.
 
-    L v = h^2 (heights - 1), so toppling (d = 3), which leaves every excess
-    at most stop / h^2, may leave L v up to stop = 1e-10 max|gamma|.
+    Toppling (d = 3) leaves every excess at most tol = 1e-10 d R^2, R the
+    box radius in cells, so it may leave heights up to 1 + tol.
     """
-    v, gamma = sol.v, sol.gamma
-    ring = ring_mask(gamma.shape[0], sol.d)
-    assert np.array_equal(v[ring], gamma[ring])
-    assert np.all(v >= gamma)
-    lap = box_laplacian(v)[~ring]
-    scale = float(np.max(np.abs(gamma)))
-    slack = v.size * EPS * scale + (1e-10 * scale if sol.d == 3 else 0.0)
-    assert lap.max() <= slack
-    assert np.abs(lap[(v > gamma)[~ring]]).max(initial=0.0) <= slack
-    assert sol.residual <= slack
+    u = sol.odometer
+    d, radius = u.ndim, (u.shape[0] - 1) // 2
+    ring = ring_mask(u.shape[0], d)
+    assert u.min() >= 0.0 and not u[ring].any()
+    error = (source + box_laplacian(u) - 1.0)[~ring]
+    rounding = u.size * EPS * max(1.0, float(u.max()), float(source.max()))
+    slack = rounding + (1e-10 * d * radius**2 if d == 3 else 0.0)
+    assert error.max() <= slack
+    assert np.abs(error[(u > 0.0)[~ring]]).max(initial=0.0) <= slack
+    assert sol.residual <= (sol.h * sol.h) * slack
 
 
 def obstacle_gamma(source, h):
-    """continuum_obstacle_solve's obstacle, for grids on which it raises."""
+    """The obstacle -h^2 |x|^2 plus the zero-boundary potential with Laplacian h^2 source.
+
+    The potential g, with (neighbour average - identity) g = h^2 source and
+    g = 0 on the box edge, is diagonal in the sine transform of the interior.
+    """
     d, radius = source.ndim, source.shape[0] // 2
     mesh = np.meshgrid(*([np.arange(-radius, radius + 1.0)] * d), indexing="ij")
-    return -(h * h) * sum(m * m for m in mesh) + growth._dirichlet_poisson(h * h * source)
+    interior, m = (slice(1, -1),) * d, source.shape[0] - 2
+    lam = axis_sum(np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 1.0, d) / d
+    potential = np.zeros_like(source)
+    potential[interior] = scipy.fft.idstn(scipy.fft.dstn(h * h * source[interior], type=1) / lam, type=1)
+    return -(h * h) * sum(x * x for x in mesh) + potential
 
 
 def assert_outcome_matches_sweeps(source, h):
     """Compare the solver with the Jacobi oracle, which stops once a sweep moves v by less than stop.
 
+    stop is h^2 tol, the solver's toppling tolerance in units of gamma.
     Jacobi approaches v from above.  Its last sweep's change is below stop,
     so its error e obeys (identity - neighbour average) e <= stop and is at
     most stop times the box's expected exit time, d * radius**2.  At d <= 2
     the solver is exact.  At d = 3 it topples from below until every excess
-    is at most stop / h^2, so it lies below the exact v by at most the same
-    bound again.  Both call a site occupied when v - gamma exceeds 10 * stop,
-    so their occupied sets can differ only where v - gamma lies within the
-    gap of that threshold.
+    is at most tol, so v = gamma + h^2 u lies below the exact v by at most
+    the same bound again.  The oracle calls a site occupied when v - gamma
+    exceeds 10 * stop and the solver when h^2 u does, so their occupied
+    sets can differ only where v - gamma lies within the gap of that
+    threshold.
 
     The solver raises BoundaryTouchError exactly when an edge height
-    source + L u, u = (v - gamma) / h^2, exceeds 1 + stop / h^2.  An edge
-    height is a 1 / (2d) share of the u next to it, so the oracle's edge
-    heights must exceed that limit, within the gap / h^2, exactly when the
-    solver raises.
+    source + L u exceeds 1 + tol.  An edge height is a 1 / (2d) share of the
+    u next to it, so the oracle's edge heights, with u = (v - gamma) / h^2,
+    must exceed that limit, within the gap / h^2, exactly when the solver
+    raises.
     """
     new = outcome(continuum_obstacle_solve, source, h)
     solved = not isinstance(new, Raised)
-    gamma = new.gamma if solved else obstacle_gamma(source, h)
-    v_ref, occupied_ref, sweeps, _ = reference_obstacle_sweeps(gamma)
+    gamma = obstacle_gamma(source, h)
     d, radius = gamma.ndim, (gamma.shape[0] - 1) // 2
+    stop = (h * h) * (1e-10 * d * radius**2)
+    v_ref, occupied_ref, sweeps, _ = reference_obstacle_sweeps(gamma, stop)
     scale = float(np.max(np.abs(gamma)))
-    stop = 1e-10 * scale
     rounding = (sweeps + (new.iterations if solved else 0) + gamma.size) * EPS * scale
     gap = stop * d * radius**2 * (2 if d == 3 else 1) + rounding
     ring = ring_mask(gamma.shape[0], d)
@@ -664,11 +673,12 @@ def assert_outcome_matches_sweeps(source, h):
         assert edge > 1.0 + (stop - rounding) / (h * h)
         return
     assert edge <= 1.0 + (stop + gap) / (h * h)
-    assert_solves_obstacle_lcp(new)
-    assert np.all(v_ref >= new.v - rounding)
-    assert np.all(v_ref - new.v <= gap)
+    assert_solves_obstacle_lcp(new, source)
+    v = gamma + (h * h) * new.odometer
+    assert np.all(v_ref >= v - rounding)
+    assert np.all(v_ref - v <= gap)
     differ = new.occupied != occupied_ref
-    assert np.all(np.abs((new.v - gamma)[differ] - 10.0 * stop) <= gap)
+    assert np.all(np.abs((h * h) * new.odometer[differ] - 10.0 * stop) <= gap)
     return new, occupied_ref, sweeps
 
 
@@ -776,42 +786,27 @@ def test_obstacle_solver_solves_the_lcp_and_matches_the_sweeps_at_d3(cells, ball
 
 @pytest.mark.parametrize("d, mass, box", [(1, 30.0, 32), (2, 150.0, 16), (3, 200.0, 9)])
 def test_obstacle_with_a_point_source_is_the_point_source_sandpile(d, mass, box):
-    # At h = 1 a point source's obstacle is gamma plus the odometer of the
-    # same mass: the same engine at d <= 2, toppling to a smaller tol at d = 3.
+    # A point source's obstacle odometer is the point-source sandpile's of
+    # the same mass: the same engine at d <= 2, toppling to a smaller tol at d = 3.
     source = np.zeros((2 * box + 1,) * d)
     source[(box,) * d] = mass
     sol = continuum_obstacle_solve(source, 1.0)
     res = point_source_sandpile(mass, d, box_radius=box)
     if d <= 2:
         assert sol.iterations == res.steps
-        assert np.array_equal(sol.v, sol.gamma + res.odometer)
+        assert np.array_equal(sol.odometer, res.odometer)
     else:
         gap, _ = toppling_gap(res.odometer, 1e-6, res.steps + sol.iterations)
-        assert np.abs(sol.v - sol.gamma - res.odometer).max() <= gap
+        assert np.abs(sol.odometer - res.odometer).max() <= gap
     assert np.array_equal(sol.occupied, res.aggregate.occupied)
 
 
-@pytest.mark.parametrize("shape", [
-    (1,), (8,), (99,), (5461,), (6, 6), (19, 19), (99, 99), (100, 100), (7, 7, 7), (8, 8, 8), (39, 39, 39),
-])
-def test_numpy_sine_transform_is_scipys_bit_for_bit(shape):
-    # At side 5461 the inverse factor 1/10924 rounds differently in double
-    # than from long double, as pocketfft computes it.
-    scipy_fft = pytest.importorskip("scipy.fft")
-    rng = np.random.default_rng(len(shape) * 10_000 + shape[0])
-    x = rng.standard_normal(shape) * 10.0 ** rng.uniform(-5, 5, shape)
-    scale = float(1 / np.longdouble(math.prod(2 * (m + 1) for m in shape)))
-    assert growth._dstn(x, 1.0).tobytes() == scipy_fft.dstn(x, type=1).tobytes()
-    assert growth._dstn(x, scale).tobytes() == scipy_fft.idstn(x, type=1).tobytes()
-
-
-@pytest.mark.parametrize("side, d", [(5463, 1), (101, 2), (41, 3)])
-def test_dirichlet_potential_is_the_scipy_solve_bit_for_bit(side, d):
-    # The solve as written on scipy.fft.dstn / idstn before gamma moved to numpy.
-    scipy_fft = pytest.importorskip("scipy.fft")
-    rhs = np.random.default_rng(side).standard_normal((side,) * d)
-    interior, m = (slice(1, -1),) * d, side - 2
-    lam = axis_sum(np.cos(np.pi * np.arange(1, m + 1) / (m + 1)) - 1.0, d) / d
-    want = np.zeros_like(rhs)
-    want[interior] = scipy_fft.idstn(scipy_fft.dstn(rhs[interior], type=1) / lam, type=1)
-    assert growth._dirichlet_poisson(rhs).tobytes() == want.tobytes()
+def test_obstacle_residual_at_a_d3_point_source_is_within_the_box_scale():
+    # The CLI's d = 3 point source: mass 1, h = 0.1, box 2 (R = 20 cells).
+    # Toppling stops once every excess is at most 1e-10 d R^2, so the
+    # residual, h^2 times the worst height error, is at most 1e-10 d box^2.
+    h, cells, d = 0.1, 20, 3
+    source = np.zeros((2 * cells + 1,) * d)
+    source[(cells,) * d] = 1.0 / h**d
+    sol = continuum_obstacle_solve(source, h)
+    assert 0.0 < sol.residual <= 1e-10 * d * (cells * h) ** 2

@@ -7,7 +7,6 @@ from sandlab import TestFunction as Wave, TorusShape, LatticeField, OperatorSpec
 from sandlab.odometer import (
     eta_covariance_exact,
     eta_field,
-    eta_sample_batch,
     odometer_routes,
     odometer_spectral,
 )
@@ -141,7 +140,7 @@ def test_covariance_monte_carlo_agreement():
     want = eta_covariance_exact(op).values
 
     blocks = [sigma_chunk(SigmaSpec.iid_gaussian(), shape, 41, i) for i in range(40)]
-    etas = np.concatenate([eta_sample_batch(op, b) for b in blocks], axis=0)
+    etas = np.concatenate([op.solve(b) for b in blocks], axis=0)
     big_n = etas.shape[0]
     emp = (etas.T @ etas) / big_n
     for off in range(n):
@@ -184,7 +183,7 @@ def test_eta_sample_batch_matches_single_field():
     shape = TorusShape(2, 6)
     op = OperatorSpec.long_range(shape, 1.0)
     block = sigma_chunk(SigmaSpec.iid_gaussian(), shape, 43, 0, count=4)
-    batch = eta_sample_batch(op, block)
+    batch = op.solve(block)
     for k in range(4):
         s = make_initial_config(LatticeField(shape, block[k]))
         single = eta_field(s, op).values
@@ -200,5 +199,5 @@ def test_solve_poisson_and_batch_share_one_spectral_solve(d, n):
         sigma = sample_sigma(SigmaSpec.iid_gaussian(), shape, 5).values
         charge = sigma - sigma.mean()
         single = solve_poisson(LatticeField(shape, charge), op).values
-        batch = eta_sample_batch(op, charge[None])
+        batch = op.solve(charge[None])
         assert np.array_equal(single, batch[0])
